@@ -1,72 +1,98 @@
-//! Sleep/wake machinery: the epoch [`Event`] for external threads and the
-//! [`WakeHub`] that gives each worker its own parker for targeted wakeups.
+//! Sleep/wake machinery: every blocked thread parks on a handle it owns,
+//! and each wake source signals exactly the handle that needs it.
 //!
-//! The scheduler used to park every idle worker on one shared condvar and
-//! `notify_all` on every spawn — a thundering herd where `k` sleepers wake,
-//! fight over one task, and `k-1` go back to sleep. The [`WakeHub`] replaces
-//! that on the spawn path: idle workers register in a small set, each with a
-//! private token parker, and a spawn pops and unparks exactly *one* of them.
-//! When nothing is parked, the spawn path is a fence plus one relaxed load —
-//! no mutex, no syscall.
+//! | sleeper | parks on | woken by |
+//! |---|---|---|
+//! | idle worker (`worker_main`) | its [`WakeHub`] parker, registered in the idle set | a spawn: [`WakeHub::wake_one`] claims *one* registered worker |
+//! | worker blocked in `Future::wait` | its parker (registered idle, so it also takes spawns) | the promise's completion, through the continuation the wait registered: [`WakeHub::wake_worker`] |
+//! | worker blocked in `finish` | its parker | the scope's last `check_out`: [`WakeHub::wake_worker`] on the waiter the scope recorded |
+//! | external thread in `block_on` / `Future::wait` / `finish`, and a worker past the help-depth cap | the [`WaitCell`] inside the promise / scope it waits for | that object's completion: [`WaitCell::notify`] |
+//! | everyone | | shutdown: [`WakeHub::signal_all`] |
 //!
-//! Lost wakeups are prevented by a store-buffering (Dekker) protocol:
+//! A waker never signals a running thread: a spawn that finds nobody parked,
+//! or a completion whose waiter is busy helping (or is the thread that
+//! completed it), costs a fence and a load — no mutex, no syscall.
 //!
-//! * a spawner publishes the task (release store in the deque/injector),
-//!   executes a `SeqCst` fence, and then loads the idle count;
-//! * a worker registers idle with a `SeqCst` RMW on the idle count and then
-//!   re-checks every queue it can reach before actually parking.
+//! Lost wakeups are prevented by one store-buffering (Dekker) protocol on
+//! every row, with a per-waiter flag standing in for "is asleep": the idle
+//! count for spawns, the target parker's `armed` bit for a worker's
+//! completion, the cell's `parked` count for an external waiter.
 //!
-//! In the seq-cst total order either the spawner's load sees the
-//! registration (and wakes the worker) or the worker's re-check sees the
-//! task (and cancels the park). Both may be true — a spurious wake, which
-//! the worker absorbs by re-scanning — but never neither.
+//! * The waker publishes the state change (task pushed, promise terminal,
+//!   scope counter at zero), executes a `SeqCst` fence, then loads the flag.
+//! * The sleeper raises its flag, executes a `SeqCst` fence, and re-checks
+//!   the state (queues *and* its predicate) before actually parking.
 //!
-//! Completion-style transitions (finish-scope done, promise satisfied,
-//! shutdown) still broadcast: they bump the epoch [`Event`] for external
-//! waiters *and* unpark every registered worker, because any number of
-//! waiters may be blocked on that one state change.
+//! In the seq-cst total order either the waker's load sees the flag (and
+//! wakes the sleeper: parker tokens are sticky and cells notify under their
+//! lock, so a wake landing between re-check and sleep is kept) or the
+//! sleeper's re-check sees the state change (and cancels the park). Both
+//! may be true — a spurious wake, absorbed by re-scanning — but never
+//! neither. Park timeouts are therefore pure safety nets. An expiry is
+//! counted in [`BACKSTOP_WAKES`] when the sleeper, still flagged, finds its
+//! predicate true and no waker has touched its handle: the state change was
+//! published and nobody signalled it.
 
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-/// A condvar-backed epoch counter, used by threads *outside* the worker pool
-/// (e.g. a thread blocked in `Runtime::block_on`).
+/// Safety-net park expiries that found their predicate already true with
+/// no wake on its way: a wakeup was lost and a timer papered over it.
+/// Process-wide (cells live in promises, which belong to no runtime); every
+/// stress test pins 0.
+pub(crate) static BACKSTOP_WAKES: AtomicU64 = AtomicU64::new(0);
+
+/// Park safety net for [`WaitCell`] waiters.
+const CELL_PARK_TIMEOUT: Duration = Duration::from_millis(10);
+
+/// The parking spot of threads that cannot help while they wait, embedded
+/// in the one object (promise, finish scope) they wait for. Completers skip
+/// its mutex and condvar unless `parked` says someone is asleep here.
 #[derive(Debug, Default)]
-pub struct Event {
-    epoch: Mutex<u64>,
+pub(crate) struct WaitCell {
+    parked: AtomicUsize,
+    /// Counts `notify` calls that signalled, so a waiter can tell a timeout
+    /// that raced a notify from one nobody answered.
+    notifies: Mutex<u64>,
     cond: Condvar,
 }
 
-impl Event {
-    /// Creates a new event at epoch 0.
-    pub fn new() -> Event {
-        Event::default()
-    }
-
-    /// Current epoch. Record this *before* checking the condition you are
-    /// about to sleep on.
-    pub fn epoch(&self) -> u64 {
-        *self.epoch.lock()
-    }
-
-    /// Bumps the epoch and wakes all sleepers.
-    pub fn signal_all(&self) {
-        let mut e = self.epoch.lock();
-        *e += 1;
-        self.cond.notify_all();
-    }
-
-    /// Sleeps until the epoch differs from `seen` or `timeout` elapses.
-    /// Returns `true` if the epoch advanced.
-    pub fn wait_while(&self, seen: u64, timeout: Duration) -> bool {
-        let mut e = self.epoch.lock();
-        if *e != seen {
-            return true;
+impl WaitCell {
+    /// Blocks until `done()` holds. Returns how many times the caller was
+    /// explicitly woken (0 if it never slept).
+    pub(crate) fn wait(&self, mut done: impl FnMut() -> bool) -> u64 {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let mut wakes = 0;
+        if !done() {
+            // Checking under the lock closes the check-to-sleep gap:
+            // `notify` takes the same lock before signalling.
+            let mut notifies = self.notifies.lock();
+            while !done() {
+                let seen = *notifies;
+                self.cond.wait_for(&mut notifies, CELL_PARK_TIMEOUT);
+                if *notifies != seen {
+                    wakes += 1;
+                } else if done() {
+                    BACKSTOP_WAKES.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
-        self.cond.wait_for(&mut e, timeout);
-        *e != seen
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        wakes
+    }
+
+    /// Wakes the waiters parked here, if any. The caller has already
+    /// published the state change their predicate reads.
+    pub(crate) fn notify(&self) {
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) != 0 {
+            let mut notifies = self.notifies.lock();
+            *notifies += 1;
+            self.cond.notify_all();
+        }
     }
 }
 
@@ -79,6 +105,10 @@ impl Event {
 struct Parker {
     token: Mutex<bool>,
     cond: Condvar,
+    /// Raised by the owner between idle registration and deregistration:
+    /// "a completion I wait for must unpark me". Completions aimed at a
+    /// running worker see it clear and skip the condvar.
+    armed: AtomicBool,
 }
 
 impl Parker {
@@ -99,17 +129,27 @@ impl Parker {
         self.cond.notify_one();
     }
 
-    /// Clears any pending token, returning whether one was present.
-    fn take_token(&self) -> bool {
-        std::mem::replace(&mut *self.token.lock(), false)
+    /// Clears any pending token.
+    fn take_token(&self) {
+        *self.token.lock() = false;
     }
 }
 
-/// Per-worker parkers plus the shared idle set and the external-thread
-/// epoch [`Event`]. One per scheduler.
+/// How a worker's idle registration ended ([`WakeHub::cancel_idle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// A spawn (`wake_one`) or shutdown (`signal_all`) claimed this worker:
+    /// it owes one search for work, or hands the wake on if it leaves.
+    Spawn,
+    /// A completion the worker waits for disarmed it (`wake_worker`).
+    Completion,
+    /// Nobody woke it: it deregistered itself.
+    None,
+}
+
+/// Per-worker parkers plus the shared idle set. One per scheduler.
 #[derive(Debug)]
 pub struct WakeHub {
-    event: Event,
     parkers: Box<[Parker]>,
     /// Worker ids currently registered as idle. Entries are added by the
     /// owning worker just before it parks and removed either by a waker
@@ -125,28 +165,14 @@ impl WakeHub {
     /// Creates a hub for `workers` worker threads.
     pub fn new(workers: usize) -> WakeHub {
         WakeHub {
-            event: Event::new(),
             parkers: (0..workers).map(|_| Parker::default()).collect(),
             idle: Mutex::new(Vec::with_capacity(workers)),
             nidle: AtomicUsize::new(0),
         }
     }
 
-    /// Current epoch of the external-thread event.
-    pub fn epoch(&self) -> u64 {
-        self.event.epoch()
-    }
-
-    /// Epoch-based sleep for threads outside the worker pool.
-    pub fn wait_while(&self, seen: u64, timeout: Duration) -> bool {
-        self.event.wait_while(seen, timeout)
-    }
-
-    /// Broadcast: bump the epoch (releasing external waiters) and unpark
-    /// every registered worker. Used for one-to-many transitions — finish
-    /// scope completion, promise satisfaction, shutdown.
+    /// Shutdown broadcast: claims and unparks every registered worker.
     pub fn signal_all(&self) {
-        self.event.signal_all();
         let drained = {
             let mut idle = self.idle.lock();
             self.nidle.store(0, Ordering::SeqCst);
@@ -163,52 +189,56 @@ impl WakeHub {
         self.nidle.load(Ordering::Relaxed)
     }
 
-    /// Registers worker `me` as idle. The caller MUST re-check for work
-    /// after this returns and either park or call
-    /// [`WakeHub::cancel_idle`] — never simply walk away.
+    /// Registers worker `me` as idle and arms its parker for completion
+    /// wakes. The caller MUST re-check for work (and its blocking
+    /// predicate) after this returns, park if both came back empty, and
+    /// then call [`WakeHub::cancel_idle`] — never simply walk away.
     pub fn register_idle(&self, me: usize) {
-        let mut idle = self.idle.lock();
-        debug_assert!(!idle.contains(&me), "double idle registration");
-        idle.push(me);
-        // SeqCst RMW: full barrier between publishing our registration and
-        // the caller's subsequent work re-check loads (the worker half of
-        // the Dekker protocol described in the module docs). Done while the
-        // lock is held so the count never disagrees with the set.
-        self.nidle.fetch_add(1, Ordering::SeqCst);
+        self.parkers[me].armed.store(true, Ordering::Relaxed);
+        {
+            let mut idle = self.idle.lock();
+            debug_assert!(!idle.contains(&me), "double idle registration");
+            idle.push(me);
+            // Under the lock so the count never disagrees with the set.
+            self.nidle.fetch_add(1, Ordering::SeqCst);
+        }
+        // Sleeper half of the Dekker protocol: flags up before the re-check.
+        fence(Ordering::SeqCst);
     }
 
-    /// Undoes [`WakeHub::register_idle`] without parking (the re-check found
-    /// work, or the park timed out). If a waker already claimed us, absorb
-    /// its token instead: we are awake and about to re-scan, which is
-    /// everything that wake asked for.
-    pub fn cancel_idle(&self, me: usize) {
+    /// Ends the registration made by [`WakeHub::register_idle`] (the
+    /// re-check found work, or [`WakeHub::park`] returned) and reports which
+    /// waker, if any, had taken it. A claiming spawn's token is absorbed.
+    pub fn cancel_idle(&self, me: usize) -> Wake {
+        let armed = self.parkers[me].armed.swap(false, Ordering::Relaxed);
         let mut idle = self.idle.lock();
         if let Some(pos) = idle.iter().position(|&w| w == me) {
             idle.swap_remove(pos);
             self.nidle.fetch_sub(1, Ordering::SeqCst);
+            if armed {
+                Wake::None
+            } else {
+                Wake::Completion
+            }
         } else {
             drop(idle);
             self.parkers[me].take_token();
+            Wake::Spawn
         }
     }
 
-    /// Parks worker `me` until unparked or `timeout` elapses. The worker
-    /// must have called [`WakeHub::register_idle`] first. On return the
-    /// worker is deregistered (by its waker, or by this method on timeout).
-    /// Returns `true` if the worker was explicitly woken.
+    /// Parks registered worker `me` until unparked or `timeout` elapses.
+    /// Returns `true` if someone unparked it. The worker stays registered
+    /// and armed until it calls [`WakeHub::cancel_idle`].
     pub fn park(&self, me: usize, timeout: Duration) -> bool {
-        let woken = self.parkers[me].park(timeout);
-        // Timed out (or raced a late unpark): make sure we are no longer
-        // registered, so future wakes target workers that are really asleep.
-        self.cancel_idle(me);
-        woken
+        self.parkers[me].park(timeout)
     }
 
     /// Wakes exactly one registered idle worker, if any. Returns `true` if
     /// a worker was unparked.
     ///
     /// Fast path: when nothing is parked this is a fence plus one relaxed
-    /// load — no mutex, no condvar. The `SeqCst` fence pairs with the RMW in
+    /// load — no mutex, no condvar. The `SeqCst` fence pairs with the one in
     /// [`WakeHub::register_idle`]: the caller has already published the new
     /// task with a release store, and the fence orders that publication
     /// before our idle-count load in the seq-cst total order, so "count is
@@ -231,6 +261,21 @@ impl WakeHub {
         self.parkers[target].unpark();
         true
     }
+
+    /// Completion wake aimed at worker `me`: unparks it if it is parked (or
+    /// about to park) on the state change the caller just published; a fence
+    /// plus a load if it is running. The worker deregisters itself.
+    pub fn wake_worker(&self, me: usize) -> bool {
+        fence(Ordering::SeqCst);
+        let p = &self.parkers[me];
+        // One unpark per arming: a second completion racing the first finds
+        // the bit already taken.
+        let woke = p.armed.load(Ordering::Relaxed) && p.armed.swap(false, Ordering::Relaxed);
+        if woke {
+            p.unpark();
+        }
+        woke
+    }
 }
 
 #[cfg(test)]
@@ -239,41 +284,7 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    #[test]
-    fn signal_advances_epoch() {
-        let e = Event::new();
-        let start = e.epoch();
-        e.signal_all();
-        assert_eq!(e.epoch(), start + 1);
-    }
-
-    #[test]
-    fn wait_returns_immediately_if_stale() {
-        let e = Event::new();
-        let seen = e.epoch();
-        e.signal_all();
-        assert!(e.wait_while(seen, Duration::from_secs(10)));
-    }
-
-    #[test]
-    fn wait_times_out_without_signal() {
-        let e = Event::new();
-        let seen = e.epoch();
-        assert!(!e.wait_while(seen, Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn cross_thread_wakeup() {
-        let e = Arc::new(Event::new());
-        let seen = e.epoch();
-        let e2 = Arc::clone(&e);
-        let waker = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            e2.signal_all();
-        });
-        assert!(e.wait_while(seen, Duration::from_secs(10)));
-        waker.join().unwrap();
-    }
+    const LONG: Duration = Duration::from_secs(10);
 
     #[test]
     fn wake_one_with_no_sleepers_is_a_noop() {
@@ -289,19 +300,22 @@ mod tests {
         assert!(hub.wake_one());
         // The unpark landed before the park: the sticky token makes park
         // return immediately.
-        assert!(hub.park(0, Duration::from_secs(10)));
-        assert_eq!(hub.idle_count(), 0);
+        assert!(hub.park(0, LONG));
+        assert_eq!(hub.idle_count(), 0, "its waker deregistered it");
+        assert_eq!(hub.cancel_idle(0), Wake::Spawn);
     }
 
     #[test]
     fn cancel_after_being_claimed_absorbs_token() {
         let hub = WakeHub::new(1);
         hub.register_idle(0);
-        assert!(hub.wake_one()); // waker claims worker 0
-        hub.cancel_idle(0); // worker found work on its re-check
-                            // The token was absorbed: a fresh park must time out.
+        // A waker claims worker 0, which then finds work on its re-check.
+        assert!(hub.wake_one());
+        assert_eq!(hub.cancel_idle(0), Wake::Spawn);
+        // The token was absorbed: a fresh park must time out.
         hub.register_idle(0);
         assert!(!hub.park(0, Duration::from_millis(10)));
+        assert_eq!(hub.cancel_idle(0), Wake::None);
     }
 
     #[test]
@@ -316,6 +330,21 @@ mod tests {
     }
 
     #[test]
+    fn wake_worker_skips_a_running_worker_and_unparks_an_armed_one() {
+        let hub = WakeHub::new(2);
+        assert!(!hub.wake_worker(1), "worker 1 is not parked: no signal");
+        hub.register_idle(1);
+        assert!(hub.wake_worker(1));
+        assert!(!hub.wake_worker(1), "one unpark per arming");
+        // A completion wake leaves the idle set to the worker itself.
+        assert_eq!(hub.idle_count(), 1);
+        assert!(hub.park(1, LONG));
+        assert_eq!(hub.cancel_idle(1), Wake::Completion);
+        assert_eq!(hub.idle_count(), 0);
+        assert!(!hub.wake_worker(1), "deregistering disarms");
+    }
+
+    #[test]
     fn signal_all_unparks_every_registered_worker() {
         let hub = Arc::new(WakeHub::new(2));
         let workers: Vec<_> = (0..2)
@@ -323,7 +352,8 @@ mod tests {
                 let hub = Arc::clone(&hub);
                 thread::spawn(move || {
                     hub.register_idle(id);
-                    hub.park(id, Duration::from_secs(10))
+                    hub.park(id, LONG);
+                    hub.cancel_idle(id)
                 })
             })
             .collect();
@@ -332,7 +362,11 @@ mod tests {
         }
         hub.signal_all();
         for w in workers {
-            assert!(w.join().unwrap(), "worker not explicitly woken");
+            assert_eq!(
+                w.join().unwrap(),
+                Wake::Spawn,
+                "worker not explicitly woken"
+            );
         }
         assert_eq!(hub.idle_count(), 0);
     }
@@ -343,12 +377,39 @@ mod tests {
         let h2 = Arc::clone(&hub);
         let sleeper = thread::spawn(move || {
             h2.register_idle(0);
-            h2.park(0, Duration::from_secs(10))
+            h2.park(0, LONG);
+            h2.cancel_idle(0)
         });
         while hub.idle_count() == 0 {
             thread::yield_now();
         }
         assert!(hub.wake_one());
-        assert!(sleeper.join().unwrap());
+        assert_eq!(sleeper.join().unwrap(), Wake::Spawn);
+    }
+
+    #[test]
+    fn cell_wait_returns_without_sleeping_when_already_done() {
+        let cell = WaitCell::default();
+        assert_eq!(cell.wait(|| true), 0);
+        cell.notify(); // nobody parked: fence + load only
+    }
+
+    #[test]
+    fn cell_waiter_is_released_by_exactly_one_notify() {
+        let cell = Arc::new(WaitCell::default());
+        let done = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (cell, done) = (Arc::clone(&cell), Arc::clone(&done));
+            thread::spawn(move || cell.wait(|| done.load(Ordering::Acquire)))
+        };
+        while cell.parked.load(Ordering::Relaxed) == 0 {
+            thread::yield_now();
+        }
+        done.store(true, Ordering::Release);
+        cell.notify();
+        assert!(
+            waiter.join().unwrap() <= 1,
+            "at most the one notify wakes it"
+        );
     }
 }

@@ -43,7 +43,7 @@ pub mod watchdog;
 mod forasync;
 
 pub use copy::{CopyHandler, CopyRegistry, CopyRequest, HostBuffer, MemLoc};
-pub use event::{Event, WakeHub};
+pub use event::{Wake, WakeHub};
 pub use module::{ModuleError, PollFn, Poller, SchedulerModule};
 pub use promise::{when_all, Future, Promise, TaskError};
 pub use runtime::{Runtime, RuntimeBuilder};

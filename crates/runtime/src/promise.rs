@@ -32,21 +32,22 @@
 //! The outcome cell is written exactly once, while the state word is held in
 //! the transient `LOCKED` state, and published by the `Release` store of the
 //! terminal state; readers load the state with `Acquire` before touching the
-//! cell, so the happens-before edge is state-store → state-load. The condvar
-//! is touched only on the genuinely-blocking external path (a non-worker
-//! thread inside [`Future::wait`]); completers skip even the mutex unless
-//! the `parked` counter — checked with the same fence/Dekker protocol the
-//! scheduler's `WakeHub` uses — says someone is actually asleep.
+//! cell, so the happens-before edge is state-store → state-load. Completion
+//! wakes exactly the waiters registered with *this* promise (table in
+//! `event.rs`): a worker in [`Future::wait`] registered a continuation that
+//! unparks its own parker; a thread that cannot help parks on the promise's
+//! [`WaitCell`], which completers skip unless someone is asleep in it.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use crate::event::{WaitCell, WakeHub};
+use crate::runtime::Runtime;
 use crate::smallfn::SmallFn;
 
 /// Continuations stored in the promise's inline slot since process start
@@ -59,11 +60,6 @@ static INLINE_WAITERS: AtomicU64 = AtomicU64::new(0);
 pub(crate) fn inline_waiters_total() -> u64 {
     INLINE_WAITERS.load(Ordering::Relaxed)
 }
-
-/// Park safety net for external waiters. Completion always notifies (see
-/// the Dekker argument on `complete`), so this only fires if that argument
-/// is ever violated; it turns a hypothetical hang into latency.
-const EXTERNAL_PARK_TIMEOUT: Duration = Duration::from_millis(10);
 
 // State-word values.
 /// No value, no waiters.
@@ -149,13 +145,9 @@ struct Shared<T> {
     /// after an `Acquire` load observed `READY` or `POISONED`, and never
     /// mutated after that, so shared `&` reads are race-free.
     outcome: UnsafeCell<Option<Result<T, TaskError>>>,
-    /// External threads currently inside the blocking section of `wait`.
-    /// Completers check it (after a `SeqCst` fence) to skip the mutex and
-    /// condvar entirely when nobody is parked — the overwhelmingly common
-    /// case, since workers help instead of parking.
-    parked: AtomicUsize,
-    park_lock: Mutex<()>,
-    park_cond: Condvar,
+    /// Where waiters that cannot help (external threads, depth-capped
+    /// workers) park; usually empty, since workers help instead.
+    cell: WaitCell,
     /// Watchdog registry id (0 = unregistered, i.e. the watchdog was
     /// disarmed at creation). Set once at construction, resolved on the
     /// terminal transition in [`complete`](Shared::complete).
@@ -174,9 +166,7 @@ impl<T> Shared<T> {
             inline: UnsafeCell::new(None),
             overflow: UnsafeCell::new(Vec::new()),
             outcome: UnsafeCell::new(None),
-            parked: AtomicUsize::new(0),
-            park_lock: Mutex::new(()),
-            park_cond: Condvar::new(),
+            cell: WaitCell::default(),
             // Registered with the owning span so a stall's flight record
             // can name which task's promise never resolved. The armed check
             // here keeps the disarmed path free of the TLS read.
@@ -242,17 +232,9 @@ impl<T> Shared<T> {
                 let inline = unsafe { (*self.inline.get()).take() };
                 let overflow = unsafe { mem::take(&mut *self.overflow.get()) };
                 self.state.store(terminal, Ordering::Release);
-                // Wake parked external waiters. Dekker: the waiter does a
-                // SeqCst RMW on `parked` and then re-checks the state; we
-                // publish the state and then (after a SeqCst fence) load
-                // `parked`. Either we see their registration, or their
-                // re-check sees the terminal state — never neither. Taking
-                // the lock before notifying closes the check-to-sleep gap.
-                fence(Ordering::SeqCst);
-                if self.parked.load(Ordering::Relaxed) != 0 {
-                    let _guard = self.park_lock.lock();
-                    self.park_cond.notify_all();
-                }
+                // Parked workers are woken by the continuations they
+                // registered, which the caller runs next.
+                self.cell.notify();
                 // The single terminal-transition point: every resolution
                 // (put, poison, drop-poison) lands here exactly once.
                 crate::watchdog::resolve_promise(self.wd_id);
@@ -430,31 +412,31 @@ impl<T: Send + 'static> Future<T> {
     /// poison).
     ///
     /// On a worker thread this is help-first: the worker executes other
-    /// eligible tasks while waiting. On an external thread it parks on the
-    /// promise's condvar — the only path that touches the mutex.
+    /// eligible tasks while waiting, and parks on its own parker — which
+    /// this promise's completion unparks — when there are none. Any other
+    /// thread parks on the promise's cell.
     pub fn wait(&self) {
+        self.wait_counting();
+    }
+
+    /// [`wait`](Self::wait), returning how many explicit wakeups the caller
+    /// took on the promise's cell (`block_on` credits them to its runtime).
+    pub(crate) fn wait_counting(&self) -> u64 {
         if self.is_complete() {
-            return;
+            return 0;
         }
-        // Register a waker so the eventual `put` promptly wakes the parked
-        // (or helping) waiter instead of relying on the park timeout.
-        if let Some(event) = crate::runtime::Runtime::current_sched_event() {
-            self.on_ready(move || event.signal_all());
+        // A helping worker registers its own parker with this promise, so
+        // the eventual `put` unparks exactly it — and only if it is parked.
+        let arm = |hub: &Arc<WakeHub>, me: usize| {
+            let hub = Arc::clone(hub);
+            self.on_ready(move || {
+                hub.wake_worker(me);
+            });
+        };
+        if Runtime::try_help_current(arm, &mut || self.is_complete()) {
+            return 0;
         }
-        if crate::runtime::Runtime::try_help_current(&mut || self.is_complete()) {
-            return;
-        }
-        // External thread: park. The SeqCst RMW on `parked` is our half of
-        // the Dekker protocol with `Shared::complete` (see there).
-        let shared = &self.shared;
-        shared.parked.fetch_add(1, Ordering::SeqCst);
-        if !shared.is_terminal() {
-            let mut guard = shared.park_lock.lock();
-            while !shared.is_terminal() {
-                shared.park_cond.wait_for(&mut guard, EXTERNAL_PARK_TIMEOUT);
-            }
-        }
-        shared.parked.fetch_sub(1, Ordering::Relaxed);
+        self.shared.cell.wait(|| self.shared.is_terminal())
     }
 
     /// Runs `f` against the value by reference, waiting first if necessary.

@@ -12,6 +12,7 @@ use hiper_trace::EventKind;
 use parking_lot::{Mutex, RwLock};
 
 use crate::copy::CopyRegistry;
+use crate::event::{Wake, WakeHub};
 use crate::module::{ModuleError, SchedulerModule};
 use crate::promise::{Future, Promise, TaskError};
 use crate::scheduler::Scheduler;
@@ -30,14 +31,11 @@ const SPIN_SEARCHES: u32 = 4;
 /// oversubscribed cores) before the worker actually parks.
 const YIELD_SEARCHES: u32 = 16;
 
-/// Worker park timeout. A safety net only: every wake source is signalled
-/// (targeted unpark on spawn, broadcast on completions/shutdown), so this
-/// fires only if there is genuinely nothing to do.
+/// Worker park timeout. A safety net only: every wake source signals the
+/// parker it needs (see event.rs), so this fires only if there is nothing
+/// to do; an expiry that finds work or its predicate already true is
+/// counted in `backstop_wakes`.
 const WORKER_PARK_TIMEOUT: Duration = Duration::from_millis(20);
-
-/// Park timeout for epoch-event waits (external threads, and workers that
-/// exhausted their help depth and can only poll their predicate).
-const EVENT_WAIT_TIMEOUT: Duration = Duration::from_millis(1);
 
 pub(crate) struct RuntimeInner {
     pub sched: Arc<Scheduler>,
@@ -237,72 +235,16 @@ fn worker_main(rt: Runtime, id: usize, owned: Vec<Worker<Task>>) {
         });
     });
     let sched = Arc::clone(&rt.inner.sched);
-    // Failed-search count since the last task; drives the spin -> yield ->
-    // park ladder.
-    let mut misses: u32 = 0;
-    loop {
-        // Captured *before* the search: if it is still unchanged at park
-        // time, the failed search below is proof enough that every queue is
-        // empty and `maybe_has_work` can skip its exact scan.
-        let seen = sched.publish_epoch();
-        let task = TLS.with(|tls| {
-            let tls = tls.borrow();
-            let w = tls.as_ref().unwrap().worker.as_ref().unwrap();
-            sched.find_task(id, &w.owned)
-        });
-        if let Some(task) = task {
-            rt.execute_task(task);
-            misses = 0;
-            continue;
-        }
-        if sched.is_shutdown() {
-            break;
-        }
-        misses += 1;
-        if misses <= SPIN_SEARCHES {
-            std::hint::spin_loop();
-            continue;
-        }
-        if misses <= SPIN_SEARCHES + YIELD_SEARCHES {
-            std::thread::yield_now();
-            continue;
-        }
-        // Park protocol: register idle (SeqCst RMW inside), then re-check
-        // for published work. A spawner either sees our registration (and
-        // targets us with a wake) or we see its epoch bump here — never
-        // neither (see the Dekker argument in event.rs).
-        sched.hub.register_idle(id);
-        let again = TLS.with(|tls| {
-            let tls = tls.borrow();
-            let w = tls.as_ref().unwrap().worker.as_ref().unwrap();
-            sched.maybe_has_work(id, &w.owned, seen)
-        });
-        if again || sched.is_shutdown() {
-            sched.hub.cancel_idle(id);
-            misses = 0;
-            continue;
-        }
-        sched.stats.park(id);
-        // Capture the flag once so the park/unpark span stays balanced even
-        // if tracing is flipped while we sleep.
-        let tracing = hiper_trace::enabled();
-        if tracing {
-            hiper_trace::emit_always(EventKind::Park, 0, 0, 0);
-        }
-        let woken = sched.hub.park(id, WORKER_PARK_TIMEOUT);
-        if tracing {
-            hiper_trace::emit_always(EventKind::Unpark, woken as u64, 0, 0);
-        }
-        // An explicit wake means work very likely exists: restart the ladder
-        // so we search eagerly. After a bare timeout, go straight back to
-        // parking if the next search also fails.
-        misses = if woken {
-            0
-        } else {
-            SPIN_SEARCHES + YIELD_SEARCHES
-        };
-    }
+    rt.work_until(id, false, &mut || sched.is_shutdown());
     TLS.with(|tls| *tls.borrow_mut() = None);
+}
+
+/// Runs `f` on the calling worker's deque owner handles.
+fn with_owned<R>(f: impl FnOnce(&[Worker<Task>]) -> R) -> R {
+    TLS.with(|tls| {
+        let tls = tls.borrow();
+        f(&tls.as_ref().unwrap().worker.as_ref().unwrap().owned)
+    })
 }
 
 impl Runtime {
@@ -490,7 +432,10 @@ impl Runtime {
         } else {
             0
         };
-        let scope = FinishScope::new(Arc::clone(&self.inner.sched.hub));
+        // The scope's one waiter is this thread: record its parker (if it is
+        // one of our workers) so the last check-out can unpark exactly it.
+        let waiter = Some(self.current_shard()).filter(|&w| w != usize::MAX);
+        let scope = FinishScope::new(Arc::clone(&self.inner.sched.hub), waiter);
         let prev = TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
             match tls.as_mut() {
@@ -532,7 +477,10 @@ impl Runtime {
             }
         });
         scope.check_out(); // the body itself
-        self.wait_for(&mut || scope.is_done());
+        if !scope.is_done() && !Runtime::try_help_current(|_, _| {}, &mut || scope.is_done()) {
+            let wakes = scope.cell.wait(|| scope.is_done());
+            self.inner.sched.stats.completion_wakes_n(usize::MAX, wakes);
+        }
         if finish_t0 != 0 {
             met::finish_scope().record(hiper_trace::clock::now_ns().saturating_sub(finish_t0));
         }
@@ -588,145 +536,125 @@ impl Runtime {
         }
     }
 
-    /// Blocks the logical task until `pred` becomes true: help-first on a
-    /// worker, parked on the scheduler event otherwise.
-    pub(crate) fn wait_for(&self, pred: &mut dyn FnMut() -> bool) {
-        if pred() {
-            return;
-        }
-        let is_worker = TLS.with(|tls| {
-            tls.borrow()
-                .as_ref()
-                .map(|t| t.worker.is_some())
-                .unwrap_or(false)
-        });
-        if is_worker {
-            self.help_until(pred);
-        } else {
-            // External thread: epoch-wait on the hub's event. Snapshot the
-            // epoch *before* re-checking the predicate so a completion that
-            // lands between the check and the sleep bumps the epoch and the
-            // wait returns immediately. The short timeout is a safety net
-            // for completions that don't signal.
-            let hub = &self.inner.sched.hub;
-            loop {
-                if pred() {
-                    return;
-                }
-                let epoch = hub.epoch();
-                if !pred() {
-                    hub.wait_while(epoch, EVENT_WAIT_TIMEOUT);
-                }
-            }
-        }
-    }
-
-    /// The wake hub of the runtime owning the current thread, if any. Used
-    /// by `Future::wait` to arrange a prompt wakeup (`signal_all` on
-    /// promise satisfaction).
-    pub(crate) fn current_sched_event() -> Option<Arc<crate::event::WakeHub>> {
-        TLS.with(|tls| {
-            tls.borrow()
-                .as_ref()
-                .map(|t| Arc::clone(&t.rt.inner.sched.hub))
-        })
-    }
-
-    /// If the current thread is a worker of *any* runtime, run its help loop
-    /// until `pred` holds and return true; otherwise return false. Called by
-    /// `Future::wait` so that blocking on any future keeps the core busy.
-    pub(crate) fn try_help_current(pred: &mut dyn FnMut() -> bool) -> bool {
-        let rt = TLS.with(|tls| {
-            tls.borrow()
-                .as_ref()
-                .filter(|t| t.worker.is_some())
-                .map(|t| t.rt.clone())
-        });
-        match rt {
-            Some(rt) => {
-                rt.help_until(pred);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Help-first blocking (worker threads only): execute eligible tasks
-    /// until `pred` holds. Bounded nesting; beyond [`MAX_HELP_DEPTH`] the
-    /// worker parks instead of recursing further.
-    fn help_until(&self, pred: &mut dyn FnMut() -> bool) {
-        let sched = Arc::clone(&self.inner.sched);
-        let (id, too_deep) = TLS.with(|tls| {
+    /// Help-first blocking: if the current thread is a worker of *any*
+    /// runtime below [`MAX_HELP_DEPTH`] (which bounds stack growth), hand
+    /// `arm` its wake handle (hub + parker id, to register with whatever
+    /// completes `pred`), run its worker loop until `pred` holds and return
+    /// true. Otherwise return false: the caller cannot help and parks on the
+    /// cell of the object it waits for.
+    pub(crate) fn try_help_current(
+        arm: impl FnOnce(&Arc<WakeHub>, usize),
+        pred: &mut dyn FnMut() -> bool,
+    ) -> bool {
+        let helper = TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
-            let t = tls.as_mut().unwrap();
-            t.help_depth += 1;
-            (t.worker.as_ref().unwrap().id, t.help_depth > MAX_HELP_DEPTH)
-        });
-        loop {
-            if pred() {
-                break;
+            let t = tls.as_mut()?;
+            let id = t.worker.as_ref()?.id;
+            if t.help_depth >= MAX_HELP_DEPTH {
+                return None;
             }
-            // As in worker_main: epoch before the search, so an unchanged
-            // epoch at park time lets `maybe_has_work` trust this search's
-            // empty verdict without rescanning.
+            t.help_depth += 1;
+            Some((t.rt.clone(), id))
+        });
+        let Some((rt, id)) = helper else {
+            return false;
+        };
+        arm(&rt.inner.sched.hub, id);
+        rt.work_until(id, true, pred);
+        TLS.with(|tls| tls.borrow_mut().as_mut().unwrap().help_depth -= 1);
+        true
+    }
+
+    /// The worker loop: execute eligible tasks until `pred` holds, parking
+    /// when a full search finds none. `worker_main` runs it until shutdown;
+    /// a worker blocked on a future or finish scope runs it nested
+    /// (`helping`) until that completes, so blocking never idles the core.
+    fn work_until(&self, id: usize, helping: bool, pred: &mut dyn FnMut() -> bool) {
+        let sched = &*self.inner.sched;
+        // Failed-search count since the last task; drives an idle worker's
+        // spin -> yield -> park ladder (a helper parks at once).
+        let mut misses: u32 = 0;
+        // A spawn's wake claimed us and we have not searched since.
+        let mut claimed = false;
+        loop {
+            let done = pred();
+            // Captured *before* the search: if it is still unchanged at park
+            // time, the failed search below is proof enough that every queue
+            // is empty and `maybe_has_work` can skip its exact scan.
             let seen = sched.publish_epoch();
-            let task = if too_deep {
+            // A helper leaves the moment its wait is over; `worker_main`
+            // (`pred` = shutdown) first drains whatever is still queued.
+            let task = if done && helping {
                 None
             } else {
-                TLS.with(|tls| {
-                    let tls = tls.borrow();
-                    let w = tls.as_ref().unwrap().worker.as_ref().unwrap();
-                    sched.find_task(id, &w.owned)
-                })
+                with_owned(|owned| sched.find_task(id, owned))
             };
-            match task {
-                Some(task) => {
+            if done && task.is_none() {
+                if claimed && helping {
+                    // Leaving without the search that wake asked for: hand
+                    // it on.
+                    sched.wake(id);
+                }
+                return;
+            }
+            claimed = false;
+            if let Some(task) = task {
+                if helping {
                     sched.stats.help(id);
-                    self.execute_task(task);
                 }
-                None if too_deep => {
-                    // A depth-capped worker cannot execute tasks, so it must
-                    // NOT join the idle set — a targeted wake aimed at it
-                    // would be absorbed without any task getting run. Its
-                    // predicate only flips on completion-style transitions,
-                    // which always broadcast, so the epoch event suffices.
-                    let epoch = sched.hub.epoch();
-                    if !pred() {
-                        sched.hub.wait_while(epoch, EVENT_WAIT_TIMEOUT);
+                self.execute_task(task);
+                misses = 0;
+                continue;
+            }
+            misses += 1;
+            if !helping && misses <= SPIN_SEARCHES {
+                std::hint::spin_loop();
+                continue;
+            }
+            if !helping && misses <= SPIN_SEARCHES + YIELD_SEARCHES {
+                std::thread::yield_now();
+                continue;
+            }
+            // Park protocol: register idle and arm (fenced), then re-check
+            // predicate and queues. A spawner or completer either sees our
+            // flags or we see its state change here (Dekker, event.rs).
+            sched.hub.register_idle(id);
+            if pred() || with_owned(|owned| sched.maybe_has_work(id, owned, seen)) {
+                claimed = sched.hub.cancel_idle(id) == Wake::Spawn;
+                misses = 0;
+                continue;
+            }
+            sched.stats.park(id);
+            // Capture the flag once so the park/unpark span stays balanced
+            // even if tracing is flipped while we sleep.
+            let tracing = hiper_trace::enabled();
+            if tracing {
+                hiper_trace::emit_always(EventKind::Park, 0, 0, 0);
+            }
+            let woken = sched.hub.park(id, WORKER_PARK_TIMEOUT);
+            // Judged while still registered and armed: a predicate already
+            // true at a bare timeout was published, and nobody woke us.
+            let late = !woken && pred();
+            let wake = sched.hub.cancel_idle(id);
+            if tracing {
+                let woken = woken || wake != Wake::None;
+                hiper_trace::emit_always(EventKind::Unpark, woken as u64, 0, 0);
+            }
+            // An explicit wake means work (or completion) very likely
+            // exists: restart the ladder. After a bare timeout, go straight
+            // back to parking if the next search also fails.
+            misses = 0;
+            match wake {
+                Wake::Spawn => claimed = true,
+                Wake::Completion => sched.stats.completion_wakes_n(id, 1),
+                Wake::None => {
+                    if late {
+                        crate::event::BACKSTOP_WAKES.fetch_add(1, Ordering::Relaxed);
                     }
-                }
-                None => {
-                    // Same register / re-check / park protocol as
-                    // `worker_main`, with the blocking predicate folded into
-                    // the re-check (pred flips always come with a broadcast,
-                    // which unparks us even while registered).
-                    sched.hub.register_idle(id);
-                    let again = pred()
-                        || sched.is_shutdown()
-                        || TLS.with(|tls| {
-                            let tls = tls.borrow();
-                            let w = tls.as_ref().unwrap().worker.as_ref().unwrap();
-                            sched.maybe_has_work(id, &w.owned, seen)
-                        });
-                    if again {
-                        sched.hub.cancel_idle(id);
-                    } else {
-                        sched.stats.park(id);
-                        let tracing = hiper_trace::enabled();
-                        if tracing {
-                            hiper_trace::emit_always(EventKind::Park, 0, 0, 0);
-                        }
-                        let woken = sched.hub.park(id, WORKER_PARK_TIMEOUT);
-                        if tracing {
-                            hiper_trace::emit_always(EventKind::Unpark, woken as u64, 0, 0);
-                        }
-                    }
+                    misses = SPIN_SEARCHES + YIELD_SEARCHES;
                 }
             }
         }
-        TLS.with(|tls| {
-            tls.borrow_mut().as_mut().unwrap().help_depth -= 1;
-        });
     }
 
     /// Runs `f` on the pool and blocks the calling thread until it (and, via
@@ -740,10 +668,10 @@ impl Runtime {
             let r = rt.finish(f);
             *out.lock() = Some(r);
         });
-        // Wake the external waiter promptly on completion (or poisoning).
-        let hub = Arc::clone(&self.inner.sched.hub);
-        fut.on_ready(move || hub.signal_all());
-        self.wait_for(&mut || fut.is_complete());
+        // The caller parks on this promise alone: nothing the body does
+        // wakes it until the body's own completion (or poisoning) does.
+        let wakes = fut.wait_counting();
+        self.inner.sched.stats.completion_wakes_n(usize::MAX, wakes);
         let result = slot.lock().take();
         match result {
             Some(Ok(r)) => r,
@@ -948,10 +876,11 @@ impl Runtime {
                 scope.fail(TaskError::new(msg));
             }
         }
+        // Counted before the check-out, which may release a waiter that reads it.
+        self.inner.sched.stats.task_executed(shard);
         if let Some(scope) = scope {
             scope.check_out();
         }
-        self.inner.sched.stats.task_executed(shard);
         crate::watchdog::note_progress();
     }
 
@@ -960,8 +889,10 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Finalizes modules (reverse registration order), stops the worker pool
-    /// and joins every worker thread. Tasks still queued are dropped;
-    /// applications should reach quiescence (e.g. with `finish`) first.
+    /// and joins every worker thread. Workers first run what is already
+    /// queued (each exits after a search that comes back empty); a task
+    /// spawned later may be dropped, so applications should reach quiescence
+    /// (e.g. with `finish`) first.
     pub fn shutdown(&self) {
         if self.inner.stopped.swap(true, Ordering::SeqCst) {
             return;

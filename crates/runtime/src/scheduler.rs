@@ -38,8 +38,8 @@ pub(crate) struct Scheduler {
     pub workers: usize,
     pub paths: Vec<WorkerPaths>,
     pub homes: Vec<PlaceId>,
-    /// Sleep/wake machinery: targeted per-worker wakeups on the spawn path,
-    /// broadcast (epoch bump + unpark all) for completion-style transitions.
+    /// Sleep/wake machinery: one claimed worker per spawn, the recorded
+    /// waiter per completion, everyone only at shutdown.
     pub hub: Arc<WakeHub>,
     /// Set once by shutdown; workers drain and exit.
     pub shutdown: AtomicBool,
@@ -261,8 +261,8 @@ impl Scheduler {
     pub fn request_shutdown(&self) {
         // Release is enough: the flag guards no other shared data, and the
         // broadcast below (mutex + condvar in signal_all) already forces the
-        // store to be visible to every worker it wakes. SeqCst bought
-        // nothing here.
+        // store to be visible to every worker it wakes; one racing into a
+        // park re-checks the flag behind `register_idle`'s fence.
         self.shutdown.store(true, Ordering::Release);
         self.hub.signal_all();
     }

@@ -39,6 +39,7 @@ struct StatShard {
     helped: AtomicU64,
     wake_signals_sent: AtomicU64,
     wakes_skipped: AtomicU64,
+    completion_wakes: AtomicU64,
     task_panics: AtomicU64,
     tasks_inline: AtomicU64,
     slab_hits: AtomicU64,
@@ -110,6 +111,10 @@ impl SchedStats {
     }
     pub(crate) fn wake_skipped(&self, shard: usize) {
         bump!(self.shard(shard).wakes_skipped);
+    }
+    pub(crate) fn completion_wakes_n(&self, shard: usize, n: u64) {
+        let s = self.shard(shard);
+        s.completion_wakes.fetch_add(n, Ordering::Relaxed);
     }
     pub(crate) fn task_panic(&self, shard: usize) {
         bump!(self.shard(shard).task_panics);
@@ -188,6 +193,7 @@ impl SchedStats {
             snap.helped += s.helped.load(Ordering::Relaxed);
             snap.wake_signals_sent += s.wake_signals_sent.load(Ordering::Relaxed);
             snap.wakes_skipped += s.wakes_skipped.load(Ordering::Relaxed);
+            snap.completion_wakes += s.completion_wakes.load(Ordering::Relaxed);
             snap.task_panics += s.task_panics.load(Ordering::Relaxed);
             snap.tasks_inline += s.tasks_inline.load(Ordering::Relaxed);
             snap.slab_hits += s.slab_hits.load(Ordering::Relaxed);
@@ -200,6 +206,7 @@ impl SchedStats {
         // Process-global (promises are not bound to a runtime); monotonic, so
         // `diff` attributes it to a measured region like the sharded counts.
         snap.promise_inline_waiters = crate::promise::inline_waiters_total();
+        snap.backstop_wakes = crate::event::BACKSTOP_WAKES.load(Ordering::Relaxed);
         snap
     }
 }
@@ -227,6 +234,12 @@ pub struct SchedStatsSnapshot {
     pub wake_signals_sent: u64,
     /// Spawn-side wakeups skipped because no worker was parked.
     pub wakes_skipped: u64,
+    /// Blocked waiters (a worker parked in `Future::wait` / `finish`, the
+    /// external caller of `block_on` / `finish`) woken by their completion.
+    pub completion_wakes: u64,
+    /// Safety-net park expiries (20 ms worker, 10 ms promise / scope) that
+    /// found their predicate or work true: lost wakeups. Process-global.
+    pub backstop_wakes: u64,
     /// Tasks whose body panicked (the panic poisons the enclosing scope).
     pub task_panics: u64,
     /// Tasks whose closure was stored inline in a slab slot (no box).
@@ -286,6 +299,10 @@ impl SchedStatsSnapshot {
                 .wake_signals_sent
                 .saturating_sub(earlier.wake_signals_sent),
             wakes_skipped: self.wakes_skipped.saturating_sub(earlier.wakes_skipped),
+            completion_wakes: self
+                .completion_wakes
+                .saturating_sub(earlier.completion_wakes),
+            backstop_wakes: self.backstop_wakes.saturating_sub(earlier.backstop_wakes),
             task_panics: self.task_panics.saturating_sub(earlier.task_panics),
             tasks_inline: self.tasks_inline.saturating_sub(earlier.tasks_inline),
             slab_hits: self.slab_hits.saturating_sub(earlier.slab_hits),
@@ -308,9 +325,9 @@ impl fmt::Display for SchedStatsSnapshot {
         write!(
             f,
             "tasks={} pops={} steals={} batch_steals={} injector={} parks={} helped={} \
-             wakes_sent={} wakes_skipped={} panics={} inline={} slab_hits={} slab_misses={} \
-             splits_elided={} promise_inline={} retried={} ranks_recovered={} \
-             recoveries_failed={} steals/task={:.3} wake_eff={:.3}",
+             wakes_sent={} wakes_skipped={} completion_wakes={} backstop_wakes={} panics={} \
+             inline={} slab_hits={} slab_misses={} splits_elided={} promise_inline={} \
+             retried={} ranks_recovered={} recoveries_failed={} steals/task={:.3} wake_eff={:.3}",
             self.tasks_executed,
             self.pops,
             self.steals,
@@ -320,6 +337,8 @@ impl fmt::Display for SchedStatsSnapshot {
             self.helped,
             self.wake_signals_sent,
             self.wakes_skipped,
+            self.completion_wakes,
+            self.backstop_wakes,
             self.task_panics,
             self.tasks_inline,
             self.slab_hits,
@@ -465,6 +484,7 @@ mod tests {
         s.help(0);
         s.wake_sent(0);
         s.wake_skipped(s.external_shard());
+        s.completion_wakes_n(1, 2);
         s.task_panic(0);
         s.task_inline(0, true);
         s.task_inline(1, false);
@@ -484,6 +504,7 @@ mod tests {
         assert_eq!(snap.helped, 1);
         assert_eq!(snap.wake_signals_sent, 1);
         assert_eq!(snap.wakes_skipped, 1);
+        assert_eq!(snap.completion_wakes, 2);
         assert_eq!(snap.task_panics, 1);
         assert_eq!(snap.tasks_inline, 2);
         assert_eq!(snap.slab_hits, 1);
@@ -498,6 +519,8 @@ mod tests {
         assert!(shown.contains("batch_steals=1"));
         assert!(shown.contains("wakes_sent=1"));
         assert!(shown.contains("wakes_skipped=1"));
+        assert!(shown.contains("completion_wakes=2"));
+        assert!(shown.contains("backstop_wakes="));
         assert!(shown.contains("panics=1"));
         assert!(shown.contains("inline=2"));
         assert!(shown.contains("slab_hits=1"));

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use hiper_platform::PlaceId;
 
-use crate::event::WakeHub;
+use crate::event::{WaitCell, WakeHub};
 use crate::promise::TaskError;
 
 /// Inline closure budget of a task slot. 128 bytes covers the runtime's own
@@ -274,14 +274,18 @@ const FAIL_SET: u8 = 2;
 ///
 /// The counter starts at 1 (the scope body itself); each spawn inside the
 /// scope checks in, each completed task checks out, and the body checks out
-/// when it returns. When the counter reaches zero the runtime event is
-/// signalled to release the (help-first or parked) waiter. Completion is a
-/// one-to-many transition (the waiter may be parked on its private parker or
-/// on the external epoch event), so it *broadcasts* through the scheduler's
-/// wake hub rather than waking one worker.
+/// when it returns. A scope has exactly one waiter — the thread that called
+/// `finish` — so the check-out that drains the counter wakes that thread
+/// and nobody else: a targeted unpark if it is a worker parked between
+/// help-first searches, a notify on the scope's own cell otherwise. When the
+/// waiter itself is last out (or is busy helping) that costs two fences.
 pub struct FinishScope {
     pending: AtomicUsize,
     hub: Arc<WakeHub>,
+    /// The waiter's worker id in `hub`, if it is one of its workers.
+    waiter: Option<usize>,
+    /// Where a waiter that cannot help (external, depth-capped) parks.
+    pub(crate) cell: WaitCell,
     /// State of the failure slot below: NONE → WRITING (one winner) → SET.
     /// Lock-free so the scope stays mutex-free end to end; see `fail`.
     fail_state: AtomicU8,
@@ -298,10 +302,13 @@ unsafe impl Sync for FinishScope {}
 
 impl FinishScope {
     /// Creates a scope with the body's own check-in already counted.
-    pub(crate) fn new(hub: Arc<WakeHub>) -> Arc<FinishScope> {
+    /// `waiter` is the creating thread's worker id in `hub`, if any.
+    pub(crate) fn new(hub: Arc<WakeHub>, waiter: Option<usize>) -> Arc<FinishScope> {
         Arc::new(FinishScope {
             pending: AtomicUsize::new(1),
             hub,
+            waiter,
+            cell: WaitCell::default(),
             fail_state: AtomicU8::new(FAIL_NONE),
             failed: UnsafeCell::new(None),
         })
@@ -351,7 +358,10 @@ impl FinishScope {
         let prev = self.pending.fetch_sub(1, Ordering::AcqRel);
         debug_assert!(prev > 0, "check_out underflow");
         if prev == 1 {
-            self.hub.signal_all();
+            if let Some(w) = self.waiter {
+                self.hub.wake_worker(w);
+            }
+            self.cell.notify();
         }
     }
 
@@ -382,8 +392,8 @@ mod tests {
 
     #[test]
     fn scope_counts_check_ins_and_outs() {
-        let hub = Arc::new(WakeHub::new(0));
-        let scope = FinishScope::new(Arc::clone(&hub));
+        let hub = Arc::new(WakeHub::new(1));
+        let scope = FinishScope::new(Arc::clone(&hub), Some(0));
         assert_eq!(scope.pending(), 1);
         assert!(!scope.is_done());
         scope.check_in();
@@ -392,15 +402,22 @@ mod tests {
         scope.check_out();
         scope.check_out();
         assert!(!scope.is_done());
-        let before = hub.epoch();
+        // The waiter is parked (or about to be): the draining check-out
+        // must unpark exactly it.
+        hub.register_idle(0);
         scope.check_out(); // body done
         assert!(scope.is_done());
-        assert_eq!(hub.epoch(), before + 1, "completion must signal");
+        assert!(hub.park(0, std::time::Duration::from_secs(10)));
+        assert_eq!(
+            hub.cancel_idle(0),
+            crate::event::Wake::Completion,
+            "completion must wake the scope's waiter"
+        );
     }
 
     #[test]
     fn concurrent_check_in_out_balance() {
-        let scope = FinishScope::new(Arc::new(WakeHub::new(0)));
+        let scope = FinishScope::new(Arc::new(WakeHub::new(0)), None);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let scope = Arc::clone(&scope);
@@ -422,7 +439,7 @@ mod tests {
 
     #[test]
     fn concurrent_fails_keep_exactly_one_error() {
-        let scope = FinishScope::new(Arc::new(WakeHub::new(0)));
+        let scope = FinishScope::new(Arc::new(WakeHub::new(0)), None);
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let scope = Arc::clone(&scope);

@@ -96,12 +96,16 @@ proptest! {
 
     /// The completion itself can race a `wait`: a blocked external waiter
     /// must always be released, whether it parked before or after the
-    /// terminal transition, and must observe the terminal outcome.
+    /// terminal transition, and must observe the terminal outcome — by the
+    /// completion's own notify on the promise's cell, never by the 10 ms
+    /// park timeout (`backstop_wakes` counts those rescues, process-wide).
     #[test]
     fn external_waiters_always_released(
         waiters in 1usize..4,
         poison in proptest::strategy::any::<bool>(),
     ) {
+        let backstops = || hiper_runtime::SchedStats::default().snapshot().backstop_wakes;
+        let before = backstops();
         let p = Promise::<u32>::new();
         let fut = p.future();
         let start = Arc::new(Barrier::new(waiters + 1));
@@ -125,5 +129,6 @@ proptest! {
             let saw_poison = h.join().expect("waiter thread panicked");
             prop_assert_eq!(saw_poison, poison);
         }
+        prop_assert_eq!(backstops(), before, "a lost wakeup hit the safety net");
     }
 }

@@ -184,6 +184,12 @@ impl UpcxxModule {
         f(state)
     }
 
+    /// The owning runtime, for the stats/trace span (`module_stats().time_op`,
+    /// paper §V) around each user-facing entry point below.
+    fn runtime(&self) -> Runtime {
+        self.with_state(|s| s.rt.clone())
+    }
+
     fn new_slot(&self, cb: RpcCallback) -> u64 {
         let id = self.next_slot.fetch_add(1, Ordering::Relaxed);
         self.pending.lock().insert(id, cb);
@@ -304,6 +310,10 @@ impl UpcxxModule {
     /// operation completion (target-side visibility).
     pub fn rput(&self, data: &[u8], dst: GlobalPtr) -> Future<()> {
         assert!(data.len() <= dst.len, "rput larger than destination");
+        let rt = self.runtime();
+        let _t = rt
+            .module_stats()
+            .time_op("upcxx", "rput", data.len() as u64);
         let promise = Promise::new();
         let fut = promise.future();
         if dst.rank == self.rank() {
@@ -331,6 +341,8 @@ impl UpcxxModule {
 
     /// `upcxx::rget`: fetches `src.len` bytes; future carries the data.
     pub fn rget(&self, src: GlobalPtr) -> Future<Bytes> {
+        let rt = self.runtime();
+        let _t = rt.module_stats().time_op("upcxx", "rget", src.len as u64);
         let promise = Promise::new();
         let fut = promise.future();
         if src.rank == self.rank() {
@@ -380,6 +392,18 @@ impl UpcxxModule {
         target: Rank,
         f: impl FnOnce() -> R + Send + 'static,
     ) -> Future<R> {
+        let rt = self.runtime();
+        let _t = rt.module_stats().time_op("upcxx", "rpc", 0);
+        self.rpc_untimed(target, f)
+    }
+
+    /// [`rpc`](Self::rpc) without the stats span: the collectives below are
+    /// built on it and report under their own names.
+    fn rpc_untimed<R: Send + 'static>(
+        &self,
+        target: Rank,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> Future<R> {
         let promise = Promise::new();
         let fut = promise.future();
         let mut slot_promise = Some(promise);
@@ -402,6 +426,8 @@ impl UpcxxModule {
 
     /// `upcxx::barrier()` (blocking; help-first on workers).
     pub fn barrier(&self, shared: &UpcxxBarrier) {
+        let rt = self.runtime();
+        let _t = rt.module_stats().time_op("upcxx", "barrier", 0);
         self.barrier_async(shared).wait();
     }
 
@@ -423,13 +449,17 @@ impl UpcxxModule {
         };
         // Every rank (including 0) routes its arrival through rpc, so each
         // arrival pays a network delay and runs as a task at rank 0.
-        let _ = self.rpc(0, arrive);
+        let _ = self.rpc_untimed(0, arrive);
         fut
     }
 
     /// Elementwise f64 sum-allreduce (rpc contributions to rank 0, results
     /// pushed back through the shared promise table).
     pub fn allreduce_sum_f64(&self, shared: &UpcxxReduce, vals: &[f64]) -> Future<Vec<f64>> {
+        let rt = self.runtime();
+        let _t = rt
+            .module_stats()
+            .time_op("upcxx", "allreduce", 8 * vals.len() as u64);
         let promise = Promise::new();
         let fut = promise.future();
         let n = self.nranks();
@@ -453,7 +483,7 @@ impl UpcxxModule {
                 }
             }
         };
-        let _ = self.rpc(0, contribute);
+        let _ = self.rpc_untimed(0, contribute);
         fut
     }
 }

@@ -72,11 +72,11 @@ fn main() {
                     0
                 };
                 mpi.barrier();
-                (rtt, bw, overlap_work)
+                (rtt, bw, overlap_work, env.runtime.sched_stats())
             },
         );
 
-    let (rtt, bw, _) = results[0];
+    let (rtt, bw, ..) = results[0];
     println!("round-trip latency : {:?}", rtt);
     println!("one-way bandwidth  : {:.2} MB/s", bw / 1e6);
     println!(
@@ -84,4 +84,7 @@ fn main() {
         results[1].2
     );
     assert!(results[1].2 > 0, "no overlap achieved");
+    for (rank, r) in results.iter().enumerate() {
+        println!("scheduler (rank {rank}): {}", r.3);
+    }
 }
