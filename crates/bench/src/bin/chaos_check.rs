@@ -5,12 +5,12 @@
 //! drops, duplicates, reorders, latency jitter and a transient rank kill —
 //! and asserts that every faulty run produces **bit-identical results** to
 //! the fault-free baseline: reliable delivery must hide the chaos
-//! completely. Also measures the fault-free scheduler fan-out path against
-//! the recorded `BENCH_sched_hotpath.json` baseline to show the error
-//! plumbing adds no measurable overhead. Writes `BENCH_chaos.json`.
+//! completely. Also checks that `finish_supervised` with no faults costs no
+//! more than a plain `finish` measured in the same process. `--write`
+//! records the run in `BENCH_chaos.json`.
 //!
 //! ```text
-//! cargo run --release -p hiper-bench --bin chaos_check [-- --seed N] [--stats] [--trace out.json]
+//! cargo run --release -p hiper-bench --bin chaos_check [-- --seed N] [--write] [--stats] [--trace out.json]
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,10 +33,6 @@ use hiper_netsim::{
 use hiper_runtime::supervisor::{RecoveryError, RetryPolicy};
 use hiper_runtime::{api, Runtime, RuntimeBuilder, SchedulerModule};
 use hiper_shmem::{ShmemModule, ShmemWorld};
-
-/// Fan-out medians recorded in BENCH_sched_hotpath.json (release, this
-/// container class); the overhead gate compares against it.
-const HOTPATH_FANOUT_BASELINE_MS: f64 = 1.8394;
 
 /// One run's observables: per-rank payload digest + wire/retry counters.
 struct RunOutcome {
@@ -153,7 +149,7 @@ fn run_isx(label: &str, plan: &Option<FaultPlan>) -> RunOutcome {
 }
 
 // ---------------------------------------------------------------------
-// Scenario: UTS tree counting (SHMEM work stealing)
+// Scenario: UTS tree counting (SHMEM load balancing)
 // ---------------------------------------------------------------------
 
 fn run_uts(label: &str, plan: &Option<FaultPlan>) -> RunOutcome {
@@ -172,7 +168,7 @@ fn run_uts(label: &str, plan: &Option<FaultPlan>) -> RunOutcome {
     let show_stats = stats_enabled();
     let label = label.to_string();
     let t0 = Instant::now();
-    let digest = build(nranks, plan).run(
+    let results = build(nranks, plan).run(
         move |_r, t| {
             let shmem = ShmemModule::new(world.clone(), t);
             (vec![Arc::clone(&shmem) as Arc<dyn SchedulerModule>], shmem)
@@ -192,12 +188,19 @@ fn run_uts(label: &str, plan: &Option<FaultPlan>) -> RunOutcome {
                     print_reliable_stats(&format!("uts/{} rank 0", label), shmem.raw().reliable());
                 }
             }
-            vec![result.global_count, result.local_count]
+            result
         },
+    );
+    // Which rank counts which node depends on who asks whom when, so only
+    // the total is reproducible; the shares must still partition it.
+    assert_eq!(
+        results.iter().map(|r| r.local_count).sum::<u64>(),
+        expected,
+        "per-rank UTS counts must add up to the tree"
     );
     let net = net.lock().take().expect("rank 0 always reports");
     RunOutcome {
-        digest,
+        digest: results.iter().map(|r| vec![r.global_count]).collect(),
         elapsed: t0.elapsed(),
         retries: retries.load(Ordering::Relaxed),
         net,
@@ -611,12 +614,12 @@ fn main() {
     );
 
     if traced {
-        // Tracing inflates every timing; the overhead gate and the recorded
-        // numbers are only meaningful untraced. The correctness grid above
-        // still counts.
+        // Tracing inflates every timing; the supervision gate and the
+        // recorded numbers are only meaningful untraced. The correctness
+        // grid above still counts.
         drop(trace);
         println!(
-            "\nchaos_check: {} (traced run: overhead gate and BENCH_chaos.json skipped)",
+            "\nchaos_check: {} (traced run: supervision gate skipped)",
             if all_pass { "PASS" } else { "FAIL" }
         );
         if !all_pass {
@@ -625,52 +628,27 @@ fn main() {
         return;
     }
 
-    // Two overhead gates with different jobs:
-    //
-    // * The *absolute* gate compares the plain fan-out median against the
-    //   recorded hot-path baseline. On shared hardware a co-tenant can
-    //   inflate every sample by 30-40% for minutes at a time, so this gate
-    //   is deliberately coarse — 1.5x catches a genuinely broken hot path
-    //   while the statistics-aware `perf_gate` binary (median + IQR noise
-    //   allowance per workload) remains the precise regression tripwire.
-    // * The *supervision* gate is the one this benchmark exists for:
-    //   `finish_supervised` with no faults must stay within 30% of the
-    //   plain fan-out **measured seconds apart in the same process**.
-    //   Pairing the two medians cancels host noise — both move together —
-    //   so the ratio is tight even when the absolute numbers wobble.
-    //
-    // An over-gate absolute result re-measures up to twice, spaced out so
-    // a single co-tenant burst cannot straddle every attempt; the best
-    // median wins.
-    let gated = |measure: &dyn Fn() -> f64| {
-        let mut best = f64::INFINITY;
-        for attempt in 0..3 {
-            best = best.min(measure());
-            if best <= HOTPATH_FANOUT_BASELINE_MS * 1.30 {
-                break;
-            }
-            if attempt < 2 {
-                std::thread::sleep(Duration::from_millis(400));
-            }
+    // `finish_supervised` with no faults must stay within 30% of the plain
+    // fan-out **measured seconds apart in the same process**: pairing the
+    // two medians cancels host noise, which moves both. How fast the plain
+    // fan-out is in absolute terms is `hiperbench`'s business, not this
+    // tool's. A pair over the gate is re-measured, twice at most, so one
+    // co-tenant burst cannot fail the run.
+    let mut fanout_ms = 0.0;
+    let mut fanout_sup_ms = 0.0;
+    let mut sup_ok = false;
+    for attempt in 0..3 {
+        if attempt > 0 {
+            std::thread::sleep(Duration::from_millis(400));
         }
-        best
-    };
-
-    let fanout_ms = gated(&measure_fanout_ms);
-    let overhead_pct = (fanout_ms / HOTPATH_FANOUT_BASELINE_MS - 1.0) * 100.0;
-    let overhead_ok = fanout_ms <= HOTPATH_FANOUT_BASELINE_MS * 1.50;
-    all_pass &= overhead_ok;
-    println!(
-        "  fanout_8x1000 median: {:.3} ms (baseline {:.3} ms, {:+.1}%) {}",
-        fanout_ms,
-        HOTPATH_FANOUT_BASELINE_MS,
-        overhead_pct,
-        if overhead_ok { "OK" } else { "REGRESSION" }
-    );
-
-    let fanout_sup_ms = gated(&measure_fanout_supervised_ms);
+        fanout_ms = measure_fanout_ms();
+        fanout_sup_ms = measure_fanout_supervised_ms();
+        sup_ok = fanout_sup_ms <= fanout_ms * 1.30;
+        if sup_ok {
+            break;
+        }
+    }
     let sup_pct = (fanout_sup_ms / fanout_ms - 1.0) * 100.0;
-    let sup_ok = fanout_sup_ms <= fanout_ms * 1.30;
     all_pass &= sup_ok;
     println!(
         "  fanout_8x1000 supervised median: {:.3} ms (vs plain {:.3} ms, {:+.1}%) {}",
@@ -680,26 +658,32 @@ fn main() {
         if sup_ok { "OK" } else { "REGRESSION" }
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"crates/bench/src/bin/chaos_check.rs\",\n  \"seed\": {},\n  \"scenarios\": {{\n{}\n  }},\n  \"checkpoint_restart_ok\": {},\n  \"recovery\": {{\n    \"grid\": [\n{}\n    ],\n    \"degradation_ok\": {},\n    \"pass\": {}\n  }},\n  \"overhead\": {{\n    \"fanout_baseline_ms\": {},\n    \"fanout_measured_ms\": {:.4},\n    \"fanout_supervised_ms\": {:.4},\n    \"overhead_pct\": {:.1},\n    \"supervised_vs_plain_pct\": {:.1},\n    \"abs_gate_pct\": 50,\n    \"supervised_gate_pct\": 30,\n    \"pass\": {}\n  }},\n  \"pass\": {}\n}}\n",
-        seed,
-        scenario_json.join(",\n"),
-        ckpt_ok,
-        recovery_json.join(",\n"),
-        degrade_ok,
-        recovery_ok && degrade_ok,
-        HOTPATH_FANOUT_BASELINE_MS,
-        fanout_ms,
-        fanout_sup_ms,
-        overhead_pct,
-        sup_pct,
-        overhead_ok && sup_ok,
-        all_pass
-    );
-    std::fs::write("BENCH_chaos.json", &json).expect("cannot write BENCH_chaos.json");
+    let write = std::env::args().any(|a| a == "--write");
+    if write {
+        let json = format!(
+            "{{\n  \"benchmark\": \"crates/bench/src/bin/chaos_check.rs\",\n  \"seed\": {},\n  \"scenarios\": {{\n{}\n  }},\n  \"checkpoint_restart_ok\": {},\n  \"recovery\": {{\n    \"grid\": [\n{}\n    ],\n    \"degradation_ok\": {},\n    \"pass\": {}\n  }},\n  \"overhead\": {{\n    \"fanout_measured_ms\": {:.4},\n    \"fanout_supervised_ms\": {:.4},\n    \"supervised_vs_plain_pct\": {:.1},\n    \"supervised_gate_pct\": 30,\n    \"pass\": {}\n  }},\n  \"pass\": {}\n}}\n",
+            seed,
+            scenario_json.join(",\n"),
+            ckpt_ok,
+            recovery_json.join(",\n"),
+            degrade_ok,
+            recovery_ok && degrade_ok,
+            fanout_ms,
+            fanout_sup_ms,
+            sup_pct,
+            sup_ok,
+            all_pass
+        );
+        std::fs::write("BENCH_chaos.json", &json).expect("cannot write BENCH_chaos.json");
+    }
     println!(
-        "\nchaos_check: {} (BENCH_chaos.json written)",
-        if all_pass { "PASS" } else { "FAIL" }
+        "\nchaos_check: {}{}",
+        if all_pass { "PASS" } else { "FAIL" },
+        if write {
+            " (BENCH_chaos.json written)"
+        } else {
+            ""
+        }
     );
     if !all_pass {
         std::process::exit(1);

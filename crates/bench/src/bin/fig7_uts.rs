@@ -2,22 +2,24 @@
 //! Tasks vs AsyncSHMEM (HiPER).
 //!
 //! Strong scaling: one fixed unbalanced tree (a scaled-down stand-in for
-//! T1XXL), counted by 1..N nodes. The HiPER version expands the tree with
-//! fine-grain runtime tasks and takes termination via `shmem_async_when`;
-//! the OpenMP-Tasks baseline must coarse-`taskwait` before every
-//! load-balancing step (paper §III-C1).
+//! T1XXL), counted by 1..N nodes. The three versions share one
+//! load-balancing protocol (`uts.rs`); the HiPER version expands the tree
+//! with runtime tasks that answer idle peers while they run and waits on
+//! the task, not the core; the OpenMP-Tasks baseline must coarse-`taskwait`
+//! before every load-balancing step (paper §III-C1). Reports the median and
+//! quartiles over the repetitions.
 //!
 //! ```text
 //! cargo run --release -p hiper-bench --bin fig7_uts
 //! env: HIPER_NODES_MAX (default 8), HIPER_UTS_DEPTH (default 13),
-//!      HIPER_UTS_B0_X100 (default 200), HIPER_REPS (default 3)
+//!      HIPER_UTS_B0_X100 (default 200), HIPER_REPS (default 100)
 //! ```
 
 use std::sync::Arc;
 
 use hiper_bench::util::{
-    env_param, metrics_session, print_rank_stats, print_table, stats_enabled, summarize,
-    trace_session, Timing,
+    env_param, metrics_session, print_rank_stats, print_table, reject_unknown_args, spread,
+    stats_enabled, trace_session, Spread,
 };
 use hiper_bench::uts::{self, UtsParams};
 use hiper_forkjoin::Pool;
@@ -34,7 +36,7 @@ enum Impl {
     Hiper,
 }
 
-fn run_impl(which: Impl, nodes: usize, params: UtsParams, expected: u64, reps: usize) -> Timing {
+fn run_impl(which: Impl, nodes: usize, params: UtsParams, expected: u64, reps: usize) -> Spread {
     let world = ShmemWorld::new(nodes, 1 << 22);
     let samples = SpmdBuilder::new(nodes)
         .net(NetConfig::default())
@@ -79,14 +81,18 @@ fn run_impl(which: Impl, nodes: usize, params: UtsParams, expected: u64, reps: u
                 samples
             },
         );
-    summarize(&samples[0])
+    spread(&samples[0])
 }
 
 fn main() {
+    reject_unknown_args("HIPER_NODES_MAX, HIPER_UTS_DEPTH, HIPER_UTS_B0_X100, HIPER_REPS");
     let _trace = trace_session();
     let _metrics = metrics_session();
     let nodes_max = env_param("HIPER_NODES_MAX", 8);
-    let reps = env_param("HIPER_REPS", 3);
+    // Threads are not pinned here: the OS regroups them every second or so
+    // and a ten-repetition median lands in one grouping or another, up to
+    // 40% apart. A hundred repetitions span several.
+    let reps = env_param("HIPER_REPS", 100);
     let params = UtsParams {
         seed: 19,
         b0: env_param("HIPER_UTS_B0_X100", 200) as f64 / 100.0,
@@ -110,7 +116,7 @@ fn main() {
         nodes *= 2;
     }
     print_table(
-        "UTS total time (lower is better)",
+        "UTS total time, median [quartiles] (lower is better)",
         "nodes",
         &["SHMEM+OMP", "SHMEM+OMP Tasks", "AsyncSHMEM (HiPER)"],
         &rows,
@@ -122,9 +128,9 @@ fn main() {
         println!(
             "\nat {} nodes: omp {:.1} ms, omp-tasks {:.1} ms, hiper {:.1} ms",
             n,
-            last[0].mean * 1e3,
-            last[1].mean * 1e3,
-            last[2].mean * 1e3
+            last[0].median * 1e3,
+            last[1].median * 1e3,
+            last[2].median * 1e3
         );
     }
 }

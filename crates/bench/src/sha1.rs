@@ -11,68 +11,108 @@
 /// Output digest size in bytes.
 pub const DIGEST_LEN: usize = 20;
 
-/// Computes the SHA-1 digest of `data`.
-pub fn sha1(data: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
-    // Padded message: data || 0x80 || zeros || 64-bit bit length.
-    let bit_len = (data.len() as u64) * 8;
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+/// Twenty rounds `range` with round constant `k` and round function `f`.
+/// The message schedule is the usual 16-word circular buffer: from round 16
+/// on, `w[i % 16]` is replaced by its successor before it is used.
+#[inline(always)]
+fn rounds(
+    v: &mut [u32; 5],
+    w: &mut [u32; 16],
+    range: std::ops::Range<usize>,
+    k: u32,
+    f: impl Fn(u32, u32, u32) -> u32,
+) {
+    let [mut a, mut b, mut c, mut d, mut e] = *v;
+    for i in range {
+        if i >= 16 {
+            w[i & 15] =
+                (w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15]).rotate_left(1);
+        }
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f(b, c, d))
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(w[i & 15]);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    *v = [a, b, c, d, e];
+}
 
-    let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+/// Folds one 64-byte block (as 16 big-endian words) into the state `h`.
+#[inline]
+fn compress(h: &mut [u32; 5], mut w: [u32; 16]) {
+    let mut v = *h;
+    rounds(&mut v, &mut w, 0..20, 0x5A827999, |b, c, d| {
+        (b & c) | (!b & d)
+    });
+    rounds(&mut v, &mut w, 20..40, 0x6ED9EBA1, |b, c, d| b ^ c ^ d);
+    rounds(&mut v, &mut w, 40..60, 0x8F1BBCDC, |b, c, d| {
+        (b & c) | (b & d) | (c & d)
+    });
+    rounds(&mut v, &mut w, 60..80, 0xCA62C1D6, |b, c, d| b ^ c ^ d);
+    for (hi, vi) in h.iter_mut().zip(v) {
+        *hi = hi.wrapping_add(vi);
     }
+}
 
+fn block_words(block: &[u8]) -> [u32; 16] {
+    let mut w = [0u32; 16];
+    for (wi, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
+    w
+}
+
+fn digest_bytes(h: &[u32; 5]) -> [u8; DIGEST_LEN] {
     let mut out = [0u8; DIGEST_LEN];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    for (bytes, word) in out.chunks_exact_mut(4).zip(h) {
+        bytes.copy_from_slice(&word.to_be_bytes());
     }
     out
 }
 
+/// Computes the SHA-1 digest of `data`.
+pub fn sha1(data: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut h = H0;
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block_words(block));
+    }
+    // Padding: rest || 0x80 || zeros || 64-bit bit length, in one block, or
+    // two when fewer than 8 bytes are left after the 0x80.
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    tail[tail_len - 8..tail_len].copy_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+    for block in tail[..tail_len].chunks_exact(64) {
+        compress(&mut h, block_words(block));
+    }
+    digest_bytes(&h)
+}
+
 /// Child-descriptor derivation as in UTS: hash of (parent descriptor,
-/// big-endian child index).
+/// big-endian child index). The 24-byte message and its padding fill
+/// exactly one block, built in place as words: no buffer, no allocation.
 pub fn uts_child(parent: &[u8; DIGEST_LEN], child_index: u32) -> [u8; DIGEST_LEN] {
-    let mut buf = [0u8; DIGEST_LEN + 4];
-    buf[..DIGEST_LEN].copy_from_slice(parent);
-    buf[DIGEST_LEN..].copy_from_slice(&child_index.to_be_bytes());
-    sha1(&buf)
+    let mut w = [0u32; 16];
+    for (wi, bytes) in w.iter_mut().zip(parent.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
+    w[5] = child_index;
+    w[6] = 0x8000_0000;
+    w[15] = (DIGEST_LEN as u32 + 4) * 8;
+    let mut h = H0;
+    compress(&mut h, w);
+    digest_bytes(&h)
 }
 
 /// Root descriptor from an integer seed (UTS hashes the seed string).
@@ -123,6 +163,46 @@ mod tests {
         let digests: Vec<String> = (50..70).map(|n| hex(&sha1(&vec![0x5a; n]))).collect();
         for w in digests.windows(2) {
             assert_ne!(w[0], w[1]);
+        }
+    }
+
+    /// Digests recorded from the heap-padding implementation this one
+    /// replaced, at the lengths where the padding changes shape: 55 is the
+    /// longest one-block message, 56 and 64 spill the length into a second
+    /// block, 119 and 120 do the same after one full block.
+    #[test]
+    fn padding_boundaries_match_the_recorded_digests() {
+        for (len, expected) in [
+            (55, "55b80d96c523566d3c8a3b8de03a5549fd04915c"),
+            (56, "bfe3466cd0dcd5e29b11e7885010fa7c61b737a6"),
+            (64, "eece723b8a411e8c53e7bf49514234da5d394236"),
+            (119, "791fa3ef300032b7b8efab39b22dead4327cba55"),
+            (120, "856ffb270b6b9340b620653753dfc5bafaff0a1f"),
+        ] {
+            assert_eq!(hex(&sha1(&vec![0x5a; len])), expected, "length {len}");
+        }
+    }
+
+    #[test]
+    fn uts_child_equals_the_generic_hash_of_parent_and_index() {
+        // xorshift64: descriptors and indices with no structure.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..1000 {
+            let mut parent = [0u8; DIGEST_LEN];
+            for chunk in parent.chunks_mut(8) {
+                chunk.copy_from_slice(&next().to_le_bytes()[..chunk.len()]);
+            }
+            let index = next() as u32;
+            let mut message = [0u8; DIGEST_LEN + 4];
+            message[..DIGEST_LEN].copy_from_slice(&parent);
+            message[DIGEST_LEN..].copy_from_slice(&index.to_be_bytes());
+            assert_eq!(uts_child(&parent, index), sha1(&message));
         }
     }
 

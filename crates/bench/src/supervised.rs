@@ -21,9 +21,10 @@
 //! bit** — that is the acceptance criterion `chaos_check --recovery`
 //! enforces.
 //!
-//! Rank-count constraints: UTS steals via compare-and-swap, which does not
-//! commute, so its supervised runs use 2 ranks — a single link per
-//! direction makes replay serial and deterministic. ISx's boundary ops
+//! Rank-count constraints: what a UTS rank hands over depends on which of
+//! its peers' requests it sees first, that is, on the order they arrive in,
+//! so its supervised runs use 2 ranks — a single link per direction makes
+//! replay serial and deterministic. ISx's boundary ops
 //! (put at absolute offsets, fetch-add reservations) commute, so 4 ranks
 //! are safe.
 
@@ -240,8 +241,8 @@ pub fn uts_recovery_params() -> UtsParams {
     }
 }
 
-/// Supervised UTS: 2 ranks (single link per direction — steal replay must
-/// be serial, see the module docs), `rounds` tree counts. The digest is
+/// Supervised UTS: 2 ranks (single link per direction — hand-over replay
+/// must be serial, see the module docs), `rounds` tree counts. The digest is
 /// each round's global node count, which must match both the fault-free
 /// baseline and the sequential oracle.
 pub fn run_supervised_uts(kill: Option<KillSpec>, rounds: u64) -> SupervisedOutcome {

@@ -80,9 +80,75 @@ pub fn summarize(samples: &[f64]) -> Timing {
     }
 }
 
+/// Median and quartiles over repeated timings: what a handful of runs on a
+/// shared machine can support, where a mean is dragged by one slow run.
+#[derive(Debug, Clone, Copy)]
+pub struct Spread {
+    /// Median wall-clock seconds.
+    pub median: f64,
+    /// Lower and upper quartile (seconds).
+    pub quartiles: (f64, f64),
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (q1, q3) = self.quartiles;
+        write!(
+            f,
+            "{:6.2} ms [{:.2}, {:.2}]",
+            self.median * 1e3,
+            q1 * 1e3,
+            q3 * 1e3
+        )
+    }
+}
+
+/// Median and quartiles of raw samples, by linear interpolation between the
+/// two nearest ranks.
+pub fn spread(samples: &[f64]) -> Spread {
+    assert!(!samples.is_empty());
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    Spread {
+        median: at(0.5),
+        quartiles: (at(0.25), at(0.75)),
+    }
+}
+
+/// Exits with a usage message if the command line holds anything but the
+/// flags every harness shares (`--stats`, `--trace FILE`, `--metrics[=FILE]`).
+/// Harness parameters come from `HIPER_*` variables, so a stray `--nodes 4`
+/// would otherwise run the default experiment and look as if it had worked.
+pub fn reject_unknown_args(env_help: &str) {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let known = match arg.as_str() {
+            "--stats" | "--metrics" => true,
+            "--trace" => args.next().is_some(),
+            _ => arg.starts_with("--trace=") || arg.starts_with("--metrics="),
+        };
+        if !known {
+            eprintln!(
+                "unknown argument `{arg}`\nflags: --stats, --trace FILE, --metrics[=FILE]\nenv: {env_help}"
+            );
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Prints a paper-style results table: one row per x-value (node count),
 /// one column per implementation.
-pub fn print_table(title: &str, xlabel: &str, columns: &[&str], rows: &[(usize, Vec<Timing>)]) {
+pub fn print_table<T: std::fmt::Display>(
+    title: &str,
+    xlabel: &str,
+    columns: &[&str],
+    rows: &[(usize, Vec<T>)],
+) {
     println!("\n=== {} ===", title);
     print!("{:>8}", xlabel);
     for c in columns {
@@ -173,6 +239,15 @@ pub fn print_reliable_stats(tag: &str, transport: &hiper_netsim::ReliableTranspo
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_interpolates_between_ranks() {
+        let s = spread(&[4.0, 1.0, 3.0, 2.0, 5.0]);
+        assert_eq!((s.median, s.quartiles), (3.0, (2.0, 4.0)));
+        let s = spread(&[1.0, 2.0]);
+        assert_eq!((s.median, s.quartiles), (1.5, (1.25, 1.75)));
+        assert_eq!(spread(&[7.0]).quartiles, (7.0, 7.0));
+    }
 
     #[test]
     fn summarize_single_sample() {

@@ -164,6 +164,55 @@ impl Cluster {
     }
 }
 
+/// A point every rank thread passes once, where each can wait for all.
+/// A rank arrives by dropping an [`Arrival`], which also happens when it
+/// unwinds: a rank that panics short of the gate counts as arrived
+/// (`abandoned`) instead of leaving the others waiting for it forever, as a
+/// `std::sync::Barrier` would.
+struct Gate {
+    parties: usize,
+    state: parking_lot::Mutex<GateState>,
+    cond: parking_lot::Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    arrived: usize,
+    abandoned: bool,
+}
+
+struct Arrival<'a>(&'a Gate);
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        let mut st = self.0.state.lock();
+        st.arrived += 1;
+        st.abandoned |= std::thread::panicking();
+        if st.arrived == self.0.parties {
+            self.0.cond.notify_all();
+        }
+    }
+}
+
+impl Gate {
+    fn new(parties: usize) -> Arc<Gate> {
+        Arc::new(Gate {
+            parties,
+            state: parking_lot::Mutex::new(GateState::default()),
+            cond: parking_lot::Condvar::new(),
+        })
+    }
+
+    /// Blocks until every rank has arrived; false if any did so by panicking.
+    fn wait(&self) -> bool {
+        let mut st = self.state.lock();
+        while st.arrived < self.parties {
+            self.cond.wait(&mut st);
+        }
+        !st.abandoned
+    }
+}
+
 /// Builder for SPMD runs: `N` ranks, each with its own runtime and modules,
 /// each executing the same `main`.
 pub struct SpmdBuilder {
@@ -236,11 +285,16 @@ impl SpmdBuilder {
         let main = Arc::new(main);
         let platform = Arc::new(self.platform);
         let nranks = self.nranks;
+        // Init barrier (MPI_Init semantics): no rank's main runs until every
+        // rank's set-up has registered its handlers. A message that reaches
+        // a rank before its handler does is requeued behind later traffic
+        // on the same link, which breaks per-link FIFO.
+        let start_gate = Gate::new(nranks);
         // Finalize barrier (the upcxx::finalize / MPI_Finalize semantics):
         // no rank tears its runtime down until every rank's main has
         // returned, so late-arriving remote requests (e.g. UPC++ rpcs) can
         // still be serviced.
-        let exit_gate = Arc::new((parking_lot::Mutex::new(0usize), parking_lot::Condvar::new()));
+        let exit_gate = Gate::new(nranks);
 
         let handles: Vec<_> = (0..nranks)
             .map(|rank| {
@@ -248,6 +302,7 @@ impl SpmdBuilder {
                 let setup = Arc::clone(&setup);
                 let main = Arc::clone(&main);
                 let platform = Arc::clone(&platform);
+                let start_gate = Arc::clone(&start_gate);
                 let exit_gate = Arc::clone(&exit_gate);
                 std::thread::Builder::new()
                     .name(format!("hiper-rank-{}", rank))
@@ -256,6 +311,7 @@ impl SpmdBuilder {
                         // workers its runtime spawns) with the simulated
                         // rank so trace tracks can be attributed per rank.
                         hiper_trace::set_ambient_rank(rank);
+                        let ready = Arrival(&start_gate);
                         let (modules, state) = setup(rank, transport.clone());
                         let mut builder = RuntimeBuilder::new(platform(rank));
                         for m in modules {
@@ -270,20 +326,16 @@ impl SpmdBuilder {
                             runtime: runtime.clone(),
                             transport,
                         };
-                        let rt = runtime.clone();
-                        let result = rt.block_on(move || main(env, state));
-                        {
-                            let (count, cond) = &*exit_gate;
-                            let mut done = count.lock();
-                            *done += 1;
-                            if *done == nranks {
-                                cond.notify_all();
-                            } else {
-                                while *done < nranks {
-                                    cond.wait(&mut done);
-                                }
-                            }
+                        drop(ready);
+                        if !start_gate.wait() {
+                            panic!("rank {}: a peer rank failed during set-up", rank);
                         }
+                        let rt = runtime.clone();
+                        let result = {
+                            let _returned = Arrival(&exit_gate);
+                            rt.block_on(move || main(env, state))
+                        };
+                        exit_gate.wait();
                         runtime.shutdown();
                         result
                     })
@@ -322,6 +374,58 @@ mod tests {
             .workers_per_rank(1)
             .run_simple(|env| env.rank * 10);
         assert_eq!(results, vec![0, 10, 20, 30]);
+    }
+
+    /// A plain barrier between set-up and main would leave ranks 0 and 2
+    /// waiting for rank 1 forever, and `run` stuck joining them.
+    #[test]
+    fn a_rank_that_panics_in_setup_fails_the_run_instead_of_hanging_it() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                SpmdBuilder::new(3)
+                    .net(NetConfig::instant())
+                    .workers_per_rank(1)
+                    .run(
+                        |rank, _transport| {
+                            assert_ne!(rank, 1, "planted set-up failure");
+                            (Vec::new(), ())
+                        },
+                        |env, ()| env.rank,
+                    )
+            });
+            let _ = tx.send(outcome);
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run() hung on a rank that never reached the start gate");
+        let panic = outcome.expect_err("a failed set-up must fail the run");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("rank thread panicked"), "got: {message}");
+    }
+
+    /// The same for the exit gate: ranks whose main returned must not wait
+    /// forever for one whose main panicked.
+    #[test]
+    fn a_rank_that_panics_in_main_does_not_strand_the_others() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                SpmdBuilder::new(3)
+                    .net(NetConfig::instant())
+                    .workers_per_rank(1)
+                    .run_simple(|env| assert_ne!(env.rank, 2, "planted failure in main"))
+            });
+            let _ = tx.send(outcome.is_err());
+        });
+        let failed = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("run() hung on a rank that never reached the exit gate");
+        assert!(failed, "a failed main must fail the run");
     }
 
     #[test]
