@@ -16,8 +16,9 @@
 //! than expected.
 //!
 //! Diff mode accepts either Chrome traces or compact `*.profile.json`
-//! files (written by `--save-profile` or `perf_gate --update-baseline`);
-//! the two forms mix freely. Flags:
+//! files (written by `--save-profile`); the two forms mix freely. This is
+//! the attribution step after `hiperbench` shows a workload got slower:
+//! trace the same run before and after the change and diff the two. Flags:
 //!
 //! * `--out FILE` — also write the report to FILE
 //! * `--json` — emit the diff as JSON instead of markdown

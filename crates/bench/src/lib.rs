@@ -12,16 +12,22 @@
 //! | [`hpgmg`] | Fig 4, HPGMG-FV weak scaling | UPC++ + MPI | reference hybrid |
 //! | [`graph500`] | §III-C2 | OpenSHMEM + MPI | manual-polling reference |
 //!
+//! Support modules: [`supervised`] (kill-and-replay recovery drivers for
+//! `chaos_check`), [`traceload`] (Chrome-trace reader behind `profile
+//! --diff`), [`sha1`] (the UTS node hash) and [`util`] (timing, `HIPER_*`
+//! parameters, `--trace` / `--metrics` / `--stats` sessions).
+//!
 //! The figure harnesses live in `src/bin/` (one binary per paper figure) and
 //! print the same series the paper plots; `benches/` holds Criterion
 //! micro-benchmarks backing the headline numbers (task overheads,
-//! communication primitives, and two design ablations).
+//! communication primitives, and two design ablations). Whether a change
+//! made anything slower is answered by the repo benchmark, `hiperbench`
+//! (`BENCHMARK.json`), run beside its parent commit.
 
 pub mod geo;
 pub mod graph500;
 pub mod hpgmg;
 pub mod isx;
-pub mod perfgate;
 pub mod sha1;
 pub mod supervised;
 pub mod traceload;

@@ -10,8 +10,9 @@
 //!
 //! Collection is disabled by default. Every instrumentation site checks one
 //! global `AtomicBool` with a relaxed load — the same discipline as the
-//! trace rings — so the disabled overhead on the fanout microbench stays
-//! within noise (measured in `BENCH_metrics_overhead.json`). When enabled,
+//! trace rings — so disabled collection costs nothing measurable:
+//! `hiperbench`'s `task_dag` runs with it compiled in and switched off, and
+//! `metrics.overhead_pct` prices switching it on. When enabled,
 //! a counter bump is one relaxed `fetch_add` on a cache-line-padded
 //! per-thread shard; a histogram record is three relaxed RMWs plus one
 //! relaxed `fetch_max` on the calling thread's shard. No locks, no
@@ -624,7 +625,7 @@ impl MetricsSnapshot {
 
     /// Renders the snapshot as JSON. Numbers ride in f64 (the parser's
     /// only numeric type); counts and nanosecond sums stay exact through
-    /// 2^53, far beyond any single run this gate measures.
+    /// 2^53, far beyond any single run a harness measures.
     pub fn to_json(&self) -> String {
         use hiper_platform::json::Json;
         let mut doc = std::collections::BTreeMap::new();

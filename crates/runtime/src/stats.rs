@@ -284,8 +284,8 @@ impl SchedStatsSnapshot {
     }
 
     /// Counter-wise difference `self - earlier`, saturating at zero.
-    /// Snapshots are cumulative since runtime start; the perf gate diffs
-    /// a snapshot pair to attribute counts to one measured region.
+    /// Snapshots are cumulative since runtime start; a harness diffs a
+    /// snapshot pair to attribute counts to one measured region.
     pub fn diff(&self, earlier: &SchedStatsSnapshot) -> SchedStatsSnapshot {
         SchedStatsSnapshot {
             tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),

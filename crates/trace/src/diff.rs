@@ -9,8 +9,8 @@
 //! extracted from drained [`TraceData`] (or re-loaded Chrome JSON) by
 //! [`DiffInput::from_trace`], optionally refined with a machine-readable
 //! metrics snapshot via [`DiffInput::apply_metrics`]. Profiles serialize to
-//! a few KB of JSON — cheap enough to commit next to the perf-gate
-//! baseline — and two of them diff without re-reading the source traces.
+//! a few KB of JSON (`profile --save-profile`), and two of them diff
+//! without re-reading the source traces.
 //!
 //! Alignment is structural, not positional: task ids differ across runs,
 //! so tasks are matched by a signature hashed from their spawn-tree path
@@ -368,8 +368,8 @@ impl DiffInput {
         }
     }
 
-    /// Serializes the profile to JSON (the `*.profile.json` the perf gate
-    /// stores next to its baseline). Per-task signatures do not survive —
+    /// Serializes the profile to JSON (the `*.profile.json` that
+    /// `profile --save-profile` writes). Per-task signatures do not survive —
     /// only the order-independent digest — keeping the file a few KB.
     pub fn to_json(&self) -> String {
         let mut doc = BTreeMap::new();
@@ -915,7 +915,7 @@ impl TraceDiff {
         out
     }
 
-    /// Renders the attribution report as markdown (`ATTRIBUTION_*.md`).
+    /// Renders the attribution report as markdown (`profile --diff`).
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
         let pm = fmt_delta;
@@ -1070,7 +1070,7 @@ impl TraceDiff {
         s
     }
 
-    /// Renders the attribution as JSON (`ATTRIBUTION_*.json`).
+    /// Renders the attribution as JSON (`profile --diff --json`).
     pub fn to_json(&self) -> String {
         let n = |v: u64| Json::Number(v as f64);
         let i = |v: i64| Json::Number(v as f64);
