@@ -15,41 +15,102 @@
 //! wall interval exactly — the number to attack first when a run is slower
 //! than expected.
 //!
-//! Diff mode accepts either Chrome traces or compact `*.profile.json`
-//! files (written by `--save-profile`); the two forms mix freely. This is
-//! the attribution step after `hiperbench` shows a workload got slower:
-//! trace the same run before and after the change and diff the two. Flags:
+//! Diff mode takes two Chrome traces. This is the attribution step after
+//! `hiperbench` shows a workload got slower: trace the same run before and
+//! after the change and diff the two. Every input is read with
+//! `hiper_trace::chrome` and validated with `hiper_trace::check`; broken
+//! invariants are reported on stderr. Flags:
 //!
 //! * `--out FILE` — also write the report to FILE
-//! * `--json` — emit the diff as JSON instead of markdown
 //! * `--top N` — ranked contributors to keep (default 10)
 //! * `--strict` — exit 3 when any analyzed trace is PARTIAL (dropped
 //!   events or orphan message delivers make the critical path a lower
-//!   bound); applies to both modes
-//! * `--save-profile FILE` — single-trace mode: write the compact
-//!   diffable profile of the trace
-//! * `--metrics-base FILE` / `--metrics-cand FILE` — metrics snapshot
-//!   JSONs (`hiper_metrics::snapshot_json`) refining the respective side
+//!   bound) or breaks a trace invariant; applies to both modes
 //! * `--label-base S` / `--label-cand S` — report labels (default: file
 //!   stems)
 //!
 //! Exits 0 on success, 1 when a trace holds no complete task, 2 on
-//! usage/IO errors, 3 on `--strict` PARTIAL.
+//! usage/IO errors (an unknown flag or an unparsable value included), 3 on
+//! `--strict` failures.
 
-use hiper_bench::traceload::load_chrome_trace;
-use hiper_metrics::MetricsSnapshot;
 use hiper_trace::analysis::ProfileAnalysis;
+use hiper_trace::chrome::load_chrome_trace;
 use hiper_trace::diff::{DiffInput, DiffOptions, TraceDiff};
+use hiper_trace::TraceData;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("{}=", flag);
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            args.iter()
-                .find_map(|a| a.strip_prefix(&eq).map(str::to_string))
-        })
+const USAGE: &str = "usage: profile <trace.json> [--out FILE] [--strict]\n\
+     \x20      profile --diff <base.json> <cand.json> [--top N] [--strict] [--out FILE]\n\
+     \x20                     [--label-base S] [--label-cand S]";
+
+struct Opts {
+    diff: bool,
+    paths: Vec<String>,
+    out: Option<String>,
+    top: usize,
+    strict: bool,
+    label_base: Option<String>,
+    label_cand: Option<String>,
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("profile: {}\n{}", msg, USAGE);
+    std::process::exit(2);
+}
+
+fn parse_args() -> Opts {
+    let mut opts = Opts {
+        diff: false,
+        paths: Vec::new(),
+        out: None,
+        top: 10,
+        strict: false,
+        label_base: None,
+        label_cand: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with("--") {
+            opts.paths.push(arg);
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) => (f, Some(v.to_string())),
+            None => (arg.as_str(), None),
+        };
+        let switch = matches!(flag, "--diff" | "--strict");
+        if switch && inline.is_some() {
+            usage_error(&format!("{} takes no value", flag));
+        }
+        let mut value = || {
+            inline
+                .clone()
+                .or_else(|| args.next())
+                .unwrap_or_else(|| usage_error(&format!("{} needs a value", flag)))
+        };
+        match flag {
+            "--diff" => opts.diff = true,
+            "--strict" => opts.strict = true,
+            "--out" => opts.out = Some(value()),
+            "--label-base" => opts.label_base = Some(value()),
+            "--label-cand" => opts.label_cand = Some(value()),
+            "--top" => {
+                let v = value();
+                opts.top = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("--top {}: not a count", v)));
+            }
+            _ => usage_error(&format!("unknown flag {}", flag)),
+        }
+    }
+    let want = if opts.diff { 2 } else { 1 };
+    if opts.paths.len() != want {
+        usage_error(&format!(
+            "expected {} trace file(s), got {}",
+            want,
+            opts.paths.len()
+        ));
+    }
+    opts
 }
 
 fn stem(path: &str) -> String {
@@ -59,28 +120,18 @@ fn stem(path: &str) -> String {
         .unwrap_or_else(|| path.to_string())
 }
 
-/// Loads one diff side: a compact profile (sniffed by its marker) or a
-/// Chrome trace run through the analyzer.
-fn load_input(path: &str, label: &str) -> Result<DiffInput, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {}", path, e))?;
-    if text.contains("\"hiper_profile\"") {
-        if let Ok(mut input) = DiffInput::parse_json(&text) {
-            if input.label.is_empty() {
-                input.label = label.to_string();
-            }
-            return Ok(input);
-        }
+/// Reads one trace and checks its invariants, reporting each broken one on
+/// stderr. Returns the data and whether it passed.
+fn load(path: &str) -> (TraceData, bool) {
+    let data = load_chrome_trace(path).unwrap_or_else(|e| {
+        eprintln!("profile: cannot load {}: {}", path, e);
+        std::process::exit(2);
+    });
+    let report = hiper_trace::check(&data);
+    for e in &report.errors {
+        eprintln!("profile: {} breaks a trace invariant: {}", path, e);
     }
-    let data = load_chrome_trace(path).map_err(|e| format!("cannot load {}: {}", path, e))?;
-    Ok(DiffInput::from_trace(label, &data))
-}
-
-fn apply_metrics_file(input: &mut DiffInput, path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {}", path, e))?;
-    let snap =
-        MetricsSnapshot::parse_json(&text).map_err(|e| format!("bad snapshot {}: {}", path, e))?;
-    input.apply_metrics(&snap);
-    Ok(())
+    (data, report.ok())
 }
 
 fn write_out(out: &Option<String>, rendered: &str) {
@@ -93,108 +144,58 @@ fn write_out(out: &Option<String>, rendered: &str) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out = flag_value(&args, "--out");
-    let strict = args.iter().any(|a| a == "--strict");
-    let as_json = args.iter().any(|a| a == "--json");
-    let top = flag_value(&args, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
+fn strict_invalid() -> ! {
+    eprintln!("profile: a trace breaks its invariants under --strict (see above)");
+    std::process::exit(3);
+}
 
-    if let Some(i) = args.iter().position(|a| a == "--diff") {
-        let (base_path, cand_path) = match (args.get(i + 1), args.get(i + 2)) {
-            (Some(b), Some(c)) if !b.starts_with("--") && !c.starts_with("--") => {
-                (b.clone(), c.clone())
-            }
-            _ => {
-                eprintln!(
-                    "usage: profile --diff <base.json> <cand.json> [--json] [--top N] [--strict]"
-                );
-                std::process::exit(2);
-            }
-        };
-        let base_label = flag_value(&args, "--label-base").unwrap_or_else(|| stem(&base_path));
-        let cand_label = flag_value(&args, "--label-cand").unwrap_or_else(|| stem(&cand_path));
-        let mut base = match load_input(&base_path, &base_label) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("profile: {}", e);
-                std::process::exit(2);
-            }
-        };
-        let mut cand = match load_input(&cand_path, &cand_label) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("profile: {}", e);
-                std::process::exit(2);
-            }
-        };
-        for (side, flag) in [(&mut base, "--metrics-base"), (&mut cand, "--metrics-cand")] {
-            if let Some(path) = flag_value(&args, flag) {
-                if let Err(e) = apply_metrics_file(side, &path) {
-                    eprintln!("profile: {}", e);
-                    std::process::exit(2);
-                }
-            }
-        }
-        let diff = TraceDiff::build(&base, &cand, DiffOptions { top });
-        let rendered = if as_json {
-            diff.to_json()
-        } else {
-            diff.to_markdown()
-        };
+fn main() {
+    let opts = parse_args();
+
+    if opts.diff {
+        let (base_path, cand_path) = (&opts.paths[0], &opts.paths[1]);
+        let (base_data, base_ok) = load(base_path);
+        let (cand_data, cand_ok) = load(cand_path);
+        let base_label = opts.label_base.clone().unwrap_or_else(|| stem(base_path));
+        let cand_label = opts.label_cand.clone().unwrap_or_else(|| stem(cand_path));
+        let base = DiffInput::from_trace(&base_label, &base_data);
+        let cand = DiffInput::from_trace(&cand_label, &cand_data);
+        let diff = TraceDiff::build(&base, &cand, DiffOptions { top: opts.top });
+        let rendered = diff.to_markdown();
         print!("{}", rendered);
-        write_out(&out, &rendered);
-        if strict && diff.partial {
+        write_out(&opts.out, &rendered);
+        if opts.strict && diff.partial {
             eprintln!(
                 "profile: PARTIAL diff under --strict (dropped events or orphan \
                  delivers on at least one side; raise HIPER_TRACE_BUF and re-record)"
             );
             std::process::exit(3);
         }
+        if opts.strict && !(base_ok && cand_ok) {
+            strict_invalid();
+        }
         return;
     }
 
-    let path = match args.get(1).filter(|a| !a.starts_with("--")) {
-        Some(p) => p.clone(),
-        None => {
-            eprintln!(
-                "usage: profile <trace.json> [--out summary.txt] [--strict] [--save-profile f]\n\
-                 \x20      profile --diff <base.json> <cand.json> [--json] [--top N] [--strict]"
-            );
-            std::process::exit(2);
-        }
-    };
-    let data = match load_chrome_trace(&path) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("profile: cannot load {}: {}", path, e);
-            std::process::exit(2);
-        }
-    };
+    let path = &opts.paths[0];
+    let (data, valid) = load(path);
     let analysis = ProfileAnalysis::build(&data);
     let rendered = analysis.to_string();
     print!("{}", rendered);
-    write_out(&out, &rendered);
-    if let Some(save) = flag_value(&args, "--save-profile") {
-        let input = DiffInput::from_trace(&stem(&path), &data);
-        if let Err(e) = std::fs::write(&save, input.to_json()) {
-            eprintln!("profile: cannot write {}: {}", save, e);
-            std::process::exit(2);
-        }
-        println!("wrote {}", save);
-    }
+    write_out(&opts.out, &rendered);
     if analysis.critical_path.is_none() {
         eprintln!("profile: no complete task in {} — nothing to analyze", path);
         std::process::exit(1);
     }
-    if strict && (analysis.dropped > 0 || analysis.orphan_delivers > 0) {
+    if opts.strict && (analysis.dropped > 0 || analysis.orphan_delivers > 0) {
         eprintln!(
             "profile: PARTIAL trace under --strict ({} dropped event(s), {} orphan \
              deliver(s)); the critical path is a lower bound — raise HIPER_TRACE_BUF",
             analysis.dropped, analysis.orphan_delivers
         );
         std::process::exit(3);
+    }
+    if opts.strict && !valid {
+        strict_invalid();
     }
 }

@@ -1,34 +1,15 @@
 //! Validates a Chrome trace-event JSON file produced by `hiper-trace`.
 //!
-//! Checks the structural invariants a timeline viewer relies on:
-//!
-//! * the document is an object with a `traceEvents` array;
-//! * every event has a string `name`, a one-char `ph`, and numeric
-//!   `pid`/`tid` (metadata `M` events may omit `ts`, all others need it);
-//! * per (pid, tid) track, timestamps are monotone non-decreasing in file
-//!   order (the exporter globally sorts by time);
-//! * per track, `B`/`E` duration events pair up with matching names and end
-//!   balanced — unless that track recorded a `dropped events` marker, in
-//!   which case unbalanced spans are reported but tolerated;
-//! * task lifecycle correlation: every `task` begin span carries a task id
-//!   that some `spawn` instant announced — an orphan begin means spawn
-//!   events were lost (or the exporter broke attribution). Orphans are an
-//!   error on a lossless trace and reported counts on a lossy one;
-//! * causal message edges: every `msg_deliver` instant names a message id
-//!   some `msg_send` announced with the same src/dst link (orphans are an
-//!   error on a lossless trace), no message id is sent twice, and each
-//!   delivery lands no earlier than its send plus the modeled delay the
-//!   paired `NetSend` span advertised (`delay_ns` arg, matched by link and
-//!   shared timestamp) — jitter and FIFO clamping may only postpone it;
-//! * supervised recovery: per rank, `rank_down` / `rank_restored` instants
-//!   must alternate starting with a down (a trailing unmatched down is
-//!   tolerated — the trace may end mid-outage), restored transport epochs
-//!   must be nonzero and never go backward (equal epochs are allowed: one
-//!   traced process may run several independent clusters, each restarting
-//!   its own epoch sequence), and no `msg_deliver` may land on a rank
-//!   strictly inside one of its (down, restored) blackout intervals — the
-//!   delivery engine severs traffic to a down rank, so a delivery there
-//!   means the severing (or the event order) is broken.
+//! Reads the file with `hiper_trace::chrome::load_chrome_trace`, which
+//! rejects anything the exporter would not write (a non-string `name`, a
+//! `ph` that is not one known character, a non-numeric `pid`/`tid`, a
+//! missing `ts`, an event lacking the args it carries), then runs
+//! `hiper_trace::check`: monotone time per track, balanced task / park /
+//! module spans, no orphan task begins, causal message edges (unique ids,
+//! deliveries on their send's link no earlier than send + modeled delay),
+//! and supervised recovery (alternating `rank_down`/`rank_restored`,
+//! nondecreasing nonzero epochs, no delivery inside a blackout). The rules
+//! are documented on `hiper_trace::check`.
 //!
 //! ```text
 //! cargo run --release -p hiper-bench --bin trace_check -- out.json
@@ -36,532 +17,36 @@
 //!
 //! Exits 0 on a valid trace, 1 on any violation, 2 on usage/IO errors.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::io::ErrorKind;
 
-use hiper_platform::json::Json;
-
-/// Task-DAG correlation counters across the whole trace.
-#[derive(Default)]
-struct TaskDag {
-    /// Distinct task ids announced by `spawn` instants.
-    spawned: BTreeSet<u64>,
-    /// Distinct task ids that began a `task` span.
-    begun: BTreeSet<u64>,
-}
-
-impl TaskDag {
-    /// Begun task ids that were never spawned (attribution holes).
-    fn orphan_begins(&self) -> Vec<u64> {
-        self.begun.difference(&self.spawned).copied().collect()
-    }
-
-    /// Spawned task ids that never began (lost begins, or the trace was cut
-    /// before they ran).
-    fn unbegun_spawns(&self) -> usize {
-        self.spawned.difference(&self.begun).count()
-    }
-}
-
-/// One `msg_send` endpoint, keyed by message id.
-struct MsgSendEv {
-    ts: f64,
-    src: u64,
-    dst: u64,
-}
-
-/// Causal message-edge correlation across the whole trace.
-#[derive(Default)]
-struct MsgEdges {
-    /// `msg_send` instants by message id.
-    sends: BTreeMap<u64, MsgSendEv>,
-    /// `msg_deliver` instants: (message id, ts, src, dst).
-    delivers: Vec<(u64, f64, u64, u64)>,
-    /// Modeled one-way delay (us) per `NetSend`, keyed by (src, dst,
-    /// ts bit pattern) — the causal `msg_send` shares the timestamp.
-    net_delays: BTreeMap<(u64, u64, u64), f64>,
-    /// Delivers whose send is missing.
-    orphan_delivers: u64,
-}
-
-/// Timestamp slack (us) for the modeled-delay check: export renders
-/// microseconds from nanosecond stamps, so allow sub-us rounding.
-const TS_SLACK_US: f64 = 0.002;
-
-impl MsgEdges {
-    /// Cross-checks delivers against sends and the modeled wire delay;
-    /// `lossy` relaxes orphan delivers (their sends wrapped out of the
-    /// ring) but never the delay or link invariants.
-    fn validate(&mut self, lossy: bool, errors: &mut Vec<String>) {
-        for &(id, ts, src, dst) in &self.delivers {
-            let send = match self.sends.get(&id) {
-                Some(s) => s,
-                None => {
-                    self.orphan_delivers += 1;
-                    if !lossy {
-                        fail(
-                            errors,
-                            format!(
-                                "msg_deliver {} ({}->{}) has no matching msg_send \
-                                 on a lossless trace",
-                                id, src, dst
-                            ),
-                        );
-                    }
-                    continue;
-                }
-            };
-            if (send.src, send.dst) != (src, dst) {
-                fail(
-                    errors,
-                    format!(
-                        "msg {} delivered on link {}->{} but sent on {}->{}",
-                        id, src, dst, send.src, send.dst
-                    ),
-                );
-            }
-            if ts + TS_SLACK_US < send.ts {
-                fail(
-                    errors,
-                    format!(
-                        "msg {} delivered at {} us before its send at {} us",
-                        id, ts, send.ts
-                    ),
-                );
-            }
-            // The paired NetSend (same link, same stamp) advertises the
-            // modeled delay; jitter and FIFO ordering only postpone
-            // delivery beyond it, never hasten it.
-            if let Some(delay) = self
-                .net_delays
-                .get(&(send.src, send.dst, send.ts.to_bits()))
-            {
-                if ts + TS_SLACK_US < send.ts + delay {
-                    fail(
-                        errors,
-                        format!(
-                            "msg {} delivered at {} us, earlier than send {} us + \
-                             modeled delay {} us",
-                            id, ts, send.ts, delay
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Supervised-recovery correlation: `rank_down`/`rank_restored` pairing,
-/// epoch monotonicity, and delivery blackout during outages.
-#[derive(Default)]
-struct Recovery {
-    /// Per rank, lifecycle instants in file (= time) order:
-    /// (ts, true = restored, epoch).
-    lifecycle: BTreeMap<u64, Vec<(f64, bool, u64)>>,
-    /// `task_retry` instants seen.
-    retries: u64,
-    /// Completed (down, restored) blackout intervals per rank.
-    intervals: BTreeMap<u64, Vec<(f64, f64)>>,
-}
-
-impl Recovery {
-    fn downs(&self) -> usize {
-        self.lifecycle
-            .values()
-            .map(|v| v.iter().filter(|(_, up, _)| !up).count())
-            .sum()
-    }
-
-    fn restores(&self) -> usize {
-        self.lifecycle
-            .values()
-            .map(|v| v.iter().filter(|(_, up, _)| *up).count())
-            .sum()
-    }
-
-    /// Checks alternation and epoch order, then cross-checks delivers
-    /// against the blackout intervals. Pairing holes are tolerated on a
-    /// lossy trace (the instants may have wrapped out of the ring), but a
-    /// delivery inside a *witnessed* interval is always an error.
-    fn validate(&mut self, edges: &MsgEdges, lossy: bool, errors: &mut Vec<String>) {
-        for (&rank, events) in &self.lifecycle {
-            let mut open: Option<f64> = None;
-            let mut last_epoch: Option<u64> = None;
-            for &(ts, restored, epoch) in events {
-                match (restored, open) {
-                    (false, None) => open = Some(ts),
-                    (false, Some(_)) => {
-                        if !lossy {
-                            fail(
-                                errors,
-                                format!("rank {}: rank_down at {} us while already down", rank, ts),
-                            );
-                        }
-                        open = Some(ts);
-                    }
-                    (true, Some(down_ts)) => {
-                        self.intervals.entry(rank).or_default().push((down_ts, ts));
-                        open = None;
-                    }
-                    (true, None) => {
-                        if !lossy {
-                            fail(
-                                errors,
-                                format!(
-                                    "rank {}: rank_restored at {} us with no prior rank_down",
-                                    rank, ts
-                                ),
-                            );
-                        }
-                    }
-                }
-                if restored {
-                    if epoch == 0 {
-                        fail(
-                            errors,
-                            format!(
-                                "rank {}: restored at {} us with epoch 0 (no renegotiation)",
-                                rank, ts
-                            ),
-                        );
-                    }
-                    // Equal epochs are fine — a traced process may run
-                    // several independent clusters, each restarting its
-                    // own epoch sequence — but going backward is not.
-                    if let Some(prev) = last_epoch {
-                        if epoch < prev {
-                            fail(
-                                errors,
-                                format!(
-                                    "rank {}: restored epoch {} below previous epoch {}",
-                                    rank, epoch, prev
-                                ),
-                            );
-                        }
-                    }
-                    last_epoch = Some(epoch);
-                }
-            }
-            // A trailing unmatched down is fine: the trace may simply end
-            // while the rank is still being recovered.
-        }
-        for &(id, ts, _, dst) in &edges.delivers {
-            let Some(ivals) = self.intervals.get(&dst) else {
-                continue;
-            };
-            for &(down, up) in ivals {
-                if ts > down + TS_SLACK_US && ts < up - TS_SLACK_US {
-                    fail(
-                        errors,
-                        format!(
-                            "msg {} delivered to rank {} at {} us inside its \
-                             blackout [{} us, {} us]",
-                            id, dst, ts, down, up
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-struct Track {
-    last_ts: f64,
-    /// Open B spans (names), in nesting order.
-    stack: Vec<String>,
-    /// This track lost ring events; unbalanced spans are expected.
-    lossy: bool,
-    events: u64,
-    spans: u64,
-}
-
-impl Default for Track {
-    fn default() -> Track {
-        Track {
-            last_ts: f64::NEG_INFINITY,
-            stack: Vec::new(),
-            lossy: false,
-            events: 0,
-            spans: 0,
-        }
-    }
-}
-
-fn fail(errors: &mut Vec<String>, msg: String) {
-    if errors.len() < 20 {
-        errors.push(msg);
-    }
-}
-
-/// Everything `check` learns: per-track summary, task-DAG correlation,
-/// message-edge correlation, recovery correlation, and accumulated errors.
-type CheckReport = (
-    BTreeMap<(u64, u64), Track>,
-    TaskDag,
-    MsgEdges,
-    Recovery,
-    Vec<String>,
-);
-
-/// Validates the parsed document; returns (per-track summary, task-DAG
-/// correlation, message-edge correlation, recovery correlation, errors).
-fn check(doc: &Json) -> CheckReport {
-    let mut errors = Vec::new();
-    let mut tracks: BTreeMap<(u64, u64), Track> = BTreeMap::new();
-    let mut dag = TaskDag::default();
-    let mut edges = MsgEdges::default();
-    let mut recovery = Recovery::default();
-    let events = match doc.get("traceEvents").and_then(Json::as_array) {
-        Some(a) => a,
-        None => {
-            fail(&mut errors, "no traceEvents array".into());
-            return (tracks, dag, edges, recovery, errors);
-        }
-    };
-    for (i, ev) in events.iter().enumerate() {
-        let name = match ev.get("name").and_then(Json::as_str) {
-            Some(n) => n.to_string(),
-            None => {
-                fail(&mut errors, format!("event {} has no name", i));
-                continue;
-            }
-        };
-        let ph = match ev.get("ph").and_then(Json::as_str) {
-            Some(p) if p.len() == 1 => p.chars().next().unwrap(),
-            _ => {
-                fail(&mut errors, format!("event {} ({}) has bad ph", i, name));
-                continue;
-            }
-        };
-        let pid = ev.get("pid").and_then(Json::as_f64).unwrap_or(-1.0);
-        let tid = ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0);
-        if pid < 0.0 {
-            fail(&mut errors, format!("event {} ({}) has no pid", i, name));
-            continue;
-        }
-        if ph == 'M' {
-            continue; // metadata carries no timestamp
-        }
-        let ts = match ev.get("ts").and_then(Json::as_f64) {
-            Some(t) => t,
-            None => {
-                fail(&mut errors, format!("event {} ({}) has no ts", i, name));
-                continue;
-            }
-        };
-        let track = tracks.entry((pid as u64, tid as u64)).or_default();
-        track.events += 1;
-        if ts < track.last_ts {
-            fail(
-                &mut errors,
-                format!(
-                    "event {} ({}) goes back in time on pid {} tid {}: {} < {}",
-                    i, name, pid, tid, ts, track.last_ts
-                ),
-            );
-        }
-        track.last_ts = ts;
-        if name == "dropped events" {
-            track.lossy = true;
-        }
-        let task_arg = ev
-            .get("args")
-            .and_then(|a| a.get("task"))
-            .and_then(Json::as_f64)
-            .map(|t| t as u64);
-        if let Some(task) = task_arg {
-            if name == "spawn" {
-                dag.spawned.insert(task);
-            } else if name == "task" && ph == 'B' {
-                dag.begun.insert(task);
-            }
-        }
-        let num_arg = |key: &str| {
-            ev.get("args")
-                .and_then(|a| a.get(key))
-                .and_then(Json::as_f64)
-        };
-        if name == "msg_send" || name == "msg_deliver" {
-            match (num_arg("msg"), num_arg("src"), num_arg("dst")) {
-                (Some(id), Some(src), Some(dst)) => {
-                    let (id, src, dst) = (id as u64, src as u64, dst as u64);
-                    if name == "msg_send" {
-                        if edges.sends.insert(id, MsgSendEv { ts, src, dst }).is_some() {
-                            fail(&mut errors, format!("msg id {} sent twice", id));
-                        }
-                    } else {
-                        edges.delivers.push((id, ts, src, dst));
-                    }
-                }
-                _ => fail(
-                    &mut errors,
-                    format!("event {} ({}) lacks msg/src/dst args", i, name),
-                ),
-            }
-        } else if name == "rank_down" || name == "rank_restored" {
-            match num_arg("rank") {
-                Some(rank) => {
-                    let restored = name == "rank_restored";
-                    let epoch = num_arg("epoch").map(|e| e as u64).unwrap_or(0);
-                    if restored && num_arg("epoch").is_none() {
-                        fail(
-                            &mut errors,
-                            format!("event {} (rank_restored) lacks epoch arg", i),
-                        );
-                    }
-                    recovery
-                        .lifecycle
-                        .entry(rank as u64)
-                        .or_default()
-                        .push((ts, restored, epoch));
-                }
-                None => fail(
-                    &mut errors,
-                    format!("event {} ({}) lacks rank arg", i, name),
-                ),
-            }
-        } else if name == "task_retry" {
-            recovery.retries += 1;
-        } else if ph == 'X' {
-            // NetSend wire span: remember its modeled delay so delivers
-            // can be checked against send + delay.
-            if let (Some(src), Some(dst), Some(delay)) =
-                (num_arg("src"), num_arg("dst"), num_arg("delay_ns"))
-            {
-                edges
-                    .net_delays
-                    .insert((src as u64, dst as u64, ts.to_bits()), delay / 1000.0);
-            }
-        }
-        match ph {
-            'B' => track.stack.push(name),
-            'E' => match track.stack.pop() {
-                Some(open) => {
-                    track.spans += 1;
-                    if open != name {
-                        fail(
-                            &mut errors,
-                            format!(
-                                "event {}: E \"{}\" closes B \"{}\" on pid {} tid {}",
-                                i, name, open, pid, tid
-                            ),
-                        );
-                    }
-                }
-                None if track.lossy => {}
-                None => fail(
-                    &mut errors,
-                    format!(
-                        "event {}: E \"{}\" with no open B on pid {} tid {}",
-                        i, name, pid, tid
-                    ),
-                ),
-            },
-            'X' | 'i' | 'I' => {}
-            other => fail(&mut errors, format!("event {}: unknown ph '{}'", i, other)),
-        }
-    }
-    for ((pid, tid), track) in &tracks {
-        if !track.stack.is_empty() && !track.lossy {
-            fail(
-                &mut errors,
-                format!(
-                    "pid {} tid {}: {} unclosed span(s), innermost \"{}\"",
-                    pid,
-                    tid,
-                    track.stack.len(),
-                    track.stack.last().unwrap()
-                ),
-            );
-        }
-    }
-    let lossy = tracks.values().any(|t| t.lossy);
-    edges.validate(lossy, &mut errors);
-    recovery.validate(&edges, lossy, &mut errors);
-    let orphans = dag.orphan_begins();
-    if !orphans.is_empty() && !tracks.values().any(|t| t.lossy) {
-        let sample: Vec<String> = orphans.iter().take(5).map(|t| t.to_string()).collect();
-        fail(
-            &mut errors,
-            format!(
-                "{} task begin(s) with no matching spawn on a lossless trace \
-                 (e.g. task {})",
-                orphans.len(),
-                sample.join(", task ")
-            ),
-        );
-    }
-    (tracks, dag, edges, recovery, errors)
-}
+use hiper_trace::chrome::load_chrome_trace;
 
 fn main() {
-    let path = match std::env::args().nth(1) {
-        Some(p) => p,
-        None => {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let path = match args.as_slice() {
+        [p] if !p.starts_with('-') => p,
+        _ => {
             eprintln!("usage: trace_check <trace.json>");
             std::process::exit(2);
         }
     };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
+    let data = match load_chrome_trace(path) {
+        Ok(d) => d,
+        Err(e) if e.kind() == ErrorKind::InvalidData => {
+            eprintln!("ERROR: {} is not a valid trace: {}", path, e);
+            std::process::exit(1);
+        }
         Err(e) => {
             eprintln!("trace_check: cannot read {}: {}", path, e);
             std::process::exit(2);
         }
     };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("trace_check: {} is not valid JSON: {:?}", path, e);
-            std::process::exit(1);
-        }
-    };
-    let (tracks, dag, edges, recovery, errors) = check(&doc);
-    let events: u64 = tracks.values().map(|t| t.events).sum();
-    let spans: u64 = tracks.values().map(|t| t.spans).sum();
-    println!(
-        "{}: {} events, {} closed spans, {} tracks",
-        path,
-        events,
-        spans,
-        tracks.len()
-    );
-    println!(
-        "  task DAG: {} spawned, {} began, {} orphan begin(s), {} spawn(s) never began",
-        dag.spawned.len(),
-        dag.begun.len(),
-        dag.orphan_begins().len(),
-        dag.unbegun_spawns()
-    );
-    println!(
-        "  msg edges: {} sent, {} delivered, {} orphan deliver(s)",
-        edges.sends.len(),
-        edges.delivers.len(),
-        edges.orphan_delivers
-    );
-    if recovery.downs() + recovery.restores() + recovery.retries as usize > 0 {
-        println!(
-            "  recovery: {} rank_down, {} rank_restored, {} blackout interval(s), \
-             {} task retry(s)",
-            recovery.downs(),
-            recovery.restores(),
-            recovery.intervals.values().map(Vec::len).sum::<usize>(),
-            recovery.retries
-        );
-    }
-    for ((pid, tid), t) in &tracks {
-        println!(
-            "  pid {} tid {}: {} events, {} spans{}",
-            pid,
-            tid,
-            t.events,
-            t.spans,
-            if t.lossy { " (lossy)" } else { "" }
-        );
-    }
-    if errors.is_empty() {
+    let report = hiper_trace::check(&data);
+    print!("{}: {}", path, report);
+    if report.ok() {
         println!("OK");
     } else {
-        for e in &errors {
+        for e in &report.errors {
             eprintln!("ERROR: {}", e);
         }
         std::process::exit(1);

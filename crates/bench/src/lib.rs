@@ -13,9 +13,11 @@
 //! | [`graph500`] | §III-C2 | OpenSHMEM + MPI | manual-polling reference |
 //!
 //! Support modules: [`supervised`] (kill-and-replay recovery drivers for
-//! `chaos_check`), [`traceload`] (Chrome-trace reader behind `profile
-//! --diff`), [`sha1`] (the UTS node hash) and [`util`] (timing, `HIPER_*`
-//! parameters, `--trace` / `--metrics` / `--stats` sessions).
+//! `chaos_check`), [`sha1`] (the UTS node hash) and [`util`] (timing,
+//! `HIPER_*` parameters, `--trace` / `--metrics` / `--stats` sessions).
+//! Traces are read back and validated by `hiper_trace` itself
+//! (`hiper_trace::chrome`, `hiper_trace::check`), which the `profile` and
+//! `trace_check` binaries call.
 //!
 //! The figure harnesses live in `src/bin/` (one binary per paper figure) and
 //! print the same series the paper plots; `benches/` holds Criterion
@@ -30,6 +32,5 @@ pub mod hpgmg;
 pub mod isx;
 pub mod sha1;
 pub mod supervised;
-pub mod traceload;
 pub mod util;
 pub mod uts;

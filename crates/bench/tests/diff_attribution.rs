@@ -1,7 +1,7 @@
 //! End-to-end differential profiling (DESIGN.md §2.14):
 //!
 //! 1. A distributed (2-rank) ping-pong run exported to Chrome JSON and
-//!    reloaded through `traceload` must diff against its live counterpart
+//!    read back through `hiper_trace::chrome` must diff against its live counterpart
 //!    to exactly zero — timestamps, module spans, spawn edges, and rank
 //!    pids (10+r) all survive the roundtrip, so the aligned DAGs match.
 //! 2. With the netsim `slowmo` knob doubling the MPI channel's modeled
@@ -14,11 +14,10 @@
 
 use std::sync::Arc;
 
-use hiper_bench::traceload::parse_chrome_trace;
 use hiper_mpi::MpiModule;
 use hiper_netsim::{NetConfig, SpmdBuilder};
 use hiper_runtime::SchedulerModule;
-use hiper_trace::chrome::chrome_trace_json;
+use hiper_trace::chrome::{chrome_trace_json, parse_chrome_trace};
 use hiper_trace::diff::{DiffInput, DiffOptions, TraceDiff};
 use hiper_trace::TraceData;
 

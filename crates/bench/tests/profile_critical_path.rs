@@ -124,7 +124,7 @@ fn traced_chain_yields_consistent_critical_path_live_and_reloaded() {
     let json = hiper_trace::chrome::chrome_trace_json(&data);
     let path = std::env::temp_dir().join(format!("hiper_profile_test_{}.json", std::process::id()));
     std::fs::write(&path, &json).expect("write temp trace");
-    let reloaded = hiper_bench::traceload::load_chrome_trace(&path).expect("reload trace");
+    let reloaded = hiper_trace::chrome::load_chrome_trace(&path).expect("reload trace");
     std::fs::remove_file(&path).ok();
 
     let replayed = ProfileAnalysis::build(&reloaded);

@@ -323,35 +323,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Adds another snapshot's samples into this one.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Bucket-wise difference `self - base`: the samples recorded between
-    /// the `base` capture and this one. Histograms are monotone, so on a
-    /// live registry this is exact; stale or mismatched inputs saturate at
-    /// zero instead of wrapping. `max` keeps this snapshot's value — the
-    /// true window maximum is unrecoverable from two cumulative captures,
-    /// so the reported max is an upper bound.
-    pub fn saturating_sub(&self, base: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot {
-            buckets: [0; HIST_BUCKETS],
-            count: self.count.saturating_sub(base.count),
-            sum: self.sum.saturating_sub(base.sum),
-            max: self.max,
-        };
-        for (i, o) in out.buckets.iter_mut().enumerate() {
-            *o = self.buckets[i].saturating_sub(base.buckets[i]);
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -501,239 +472,6 @@ pub fn module_op(module: &'static str, op: &'static str) -> &'static OpMetrics {
     }));
     map.push(((module, op), m));
     m
-}
-
-// ---------------------------------------------------------------------
-// Machine-readable snapshots (differential profiling)
-// ---------------------------------------------------------------------
-
-/// Plain-data value of one registry entry at capture time.
-#[derive(Debug, Clone)]
-pub enum SnapshotValue {
-    /// Monotonic counter total.
-    Counter(u64),
-    /// Point-in-time gauge value and its high-water mark.
-    Gauge { value: i64, peak: i64 },
-    /// Merged histogram shards (boxed: a snapshot is ~0.5KB of buckets,
-    /// far larger than the other variants).
-    Histogram(Box<HistogramSnapshot>),
-}
-
-/// One `(name, labels)` series captured by [`snapshot`].
-#[derive(Debug, Clone)]
-pub struct SnapshotEntry {
-    /// Base metric name (OpenMetrics conventions).
-    pub name: String,
-    /// Rendered label pairs without braces, or empty for unlabeled.
-    pub labels: String,
-    /// The captured value.
-    pub value: SnapshotValue,
-}
-
-/// A machine-readable capture of every registered metric, sorted by
-/// `(name, labels)`. Unlike the OpenMetrics text dump this round-trips
-/// through JSON losslessly enough to *subtract*: the differential profiler
-/// captures one snapshot before and one after a run and diffs them with
-/// [`MetricsSnapshot::delta_since`], isolating the run's own samples from
-/// the process-global accumulation.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// Captured series, sorted by `(name, labels)`.
-    pub entries: Vec<SnapshotEntry>,
-}
-
-/// Captures every registered metric (see [`MetricsSnapshot`]).
-pub fn snapshot() -> MetricsSnapshot {
-    let entries = registry().entries.read();
-    let mut out: Vec<SnapshotEntry> = entries
-        .iter()
-        .map(|e| SnapshotEntry {
-            name: e.name.to_string(),
-            labels: e.labels.clone(),
-            value: match e.metric {
-                MetricKind::Counter(c) => SnapshotValue::Counter(c.value()),
-                MetricKind::Gauge(g) => SnapshotValue::Gauge {
-                    value: g.value(),
-                    peak: g.peak(),
-                },
-                MetricKind::Histogram(h) => SnapshotValue::Histogram(Box::new(h.snapshot())),
-            },
-        })
-        .collect();
-    out.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-    MetricsSnapshot { entries: out }
-}
-
-/// Captures every registered metric and renders it as JSON — the
-/// machine-readable sibling of [`dump_openmetrics`].
-pub fn snapshot_json() -> String {
-    snapshot().to_json()
-}
-
-impl MetricsSnapshot {
-    /// The captured value of the `(name, labels)` series, if present.
-    pub fn get(&self, name: &str, labels: &str) -> Option<&SnapshotValue> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name && e.labels == labels)
-            .map(|e| &e.value)
-    }
-
-    /// Merges every histogram series named `name` (across label sets) into
-    /// one snapshot. `None` when no histogram with that name was captured.
-    pub fn merged_histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        let mut merged: Option<HistogramSnapshot> = None;
-        for e in &self.entries {
-            if e.name != name {
-                continue;
-            }
-            if let SnapshotValue::Histogram(h) = &e.value {
-                merged
-                    .get_or_insert_with(HistogramSnapshot::default)
-                    .merge(h);
-            }
-        }
-        merged
-    }
-
-    /// The samples recorded between `base` and this capture: counters and
-    /// histograms subtract (saturating); gauges keep this capture's
-    /// point-in-time value. Series absent from `base` pass through whole.
-    pub fn delta_since(&self, base: &MetricsSnapshot) -> MetricsSnapshot {
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| {
-                let value = match (&e.value, base.get(&e.name, &e.labels)) {
-                    (SnapshotValue::Counter(c), Some(SnapshotValue::Counter(b))) => {
-                        SnapshotValue::Counter(c.saturating_sub(*b))
-                    }
-                    (SnapshotValue::Histogram(h), Some(SnapshotValue::Histogram(b))) => {
-                        SnapshotValue::Histogram(Box::new(h.saturating_sub(b)))
-                    }
-                    (v, _) => v.clone(),
-                };
-                SnapshotEntry {
-                    name: e.name.clone(),
-                    labels: e.labels.clone(),
-                    value,
-                }
-            })
-            .collect();
-        MetricsSnapshot { entries }
-    }
-
-    /// Renders the snapshot as JSON. Numbers ride in f64 (the parser's
-    /// only numeric type); counts and nanosecond sums stay exact through
-    /// 2^53, far beyond any single run a harness measures.
-    pub fn to_json(&self) -> String {
-        use hiper_platform::json::Json;
-        let mut doc = std::collections::BTreeMap::new();
-        doc.insert("snapshot".to_string(), Json::from("hiper-metrics"));
-        let metrics: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let mut obj = std::collections::BTreeMap::new();
-                obj.insert("name".to_string(), Json::from(e.name.as_str()));
-                if !e.labels.is_empty() {
-                    obj.insert("labels".to_string(), Json::from(e.labels.as_str()));
-                }
-                match &e.value {
-                    SnapshotValue::Counter(c) => {
-                        obj.insert("type".to_string(), Json::from("counter"));
-                        obj.insert("value".to_string(), Json::Number(*c as f64));
-                    }
-                    SnapshotValue::Gauge { value, peak } => {
-                        obj.insert("type".to_string(), Json::from("gauge"));
-                        obj.insert("value".to_string(), Json::Number(*value as f64));
-                        obj.insert("peak".to_string(), Json::Number(*peak as f64));
-                    }
-                    SnapshotValue::Histogram(h) => {
-                        obj.insert("type".to_string(), Json::from("histogram"));
-                        obj.insert("count".to_string(), Json::Number(h.count as f64));
-                        obj.insert("sum".to_string(), Json::Number(h.sum as f64));
-                        obj.insert("max".to_string(), Json::Number(h.max as f64));
-                        let buckets: Vec<Json> = h
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &n)| n > 0)
-                            .map(|(i, &n)| {
-                                Json::Array(vec![Json::Number(i as f64), Json::Number(n as f64)])
-                            })
-                            .collect();
-                        obj.insert("buckets".to_string(), Json::Array(buckets));
-                    }
-                }
-                Json::Object(obj)
-            })
-            .collect();
-        doc.insert("metrics".to_string(), Json::Array(metrics));
-        let mut out = Json::Object(doc).pretty();
-        out.push('\n');
-        out
-    }
-
-    /// Parses a document written by [`MetricsSnapshot::to_json`].
-    pub fn parse_json(text: &str) -> Result<MetricsSnapshot, String> {
-        use hiper_platform::json::Json;
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let metrics = doc
-            .get("metrics")
-            .and_then(Json::as_array)
-            .ok_or("missing metrics array")?;
-        let mut entries = Vec::with_capacity(metrics.len());
-        for m in metrics {
-            let name = m
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("metric missing name")?
-                .to_string();
-            let labels = m
-                .get("labels")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string();
-            let num = |k: &str| m.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            let value = match m.get("type").and_then(Json::as_str) {
-                Some("counter") => SnapshotValue::Counter(num("value") as u64),
-                Some("gauge") => SnapshotValue::Gauge {
-                    value: num("value") as i64,
-                    peak: num("peak") as i64,
-                },
-                Some("histogram") => {
-                    let mut h = HistogramSnapshot {
-                        count: num("count") as u64,
-                        sum: num("sum") as u64,
-                        max: num("max") as u64,
-                        ..HistogramSnapshot::default()
-                    };
-                    for pair in m
-                        .get("buckets")
-                        .and_then(Json::as_array)
-                        .unwrap_or(&[])
-                        .iter()
-                    {
-                        let pair = pair.as_array().unwrap_or(&[]);
-                        let idx = pair.first().and_then(Json::as_f64).unwrap_or(0.0) as usize;
-                        let n = pair.get(1).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                        if idx < HIST_BUCKETS {
-                            h.buckets[idx] = n;
-                        }
-                    }
-                    SnapshotValue::Histogram(Box::new(h))
-                }
-                other => return Err(format!("metric {} has bad type {:?}", name, other)),
-            };
-            entries.push(SnapshotEntry {
-                name,
-                labels,
-                value,
-            });
-        }
-        Ok(MetricsSnapshot { entries })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1109,66 +847,6 @@ mod tests {
             "escaped label missing in: {}",
             dump
         );
-    }
-
-    #[test]
-    fn histogram_saturating_sub_isolates_the_window() {
-        let h = Histogram::default();
-        h.record(100);
-        h.record(1 << 12);
-        let before = h.snapshot();
-        h.record(1 << 12);
-        h.record(1 << 20);
-        let delta = h.snapshot().saturating_sub(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.sum, (1 << 12) + (1 << 20));
-        assert_eq!(delta.buckets[12], 1);
-        assert_eq!(delta.buckets[20], 1);
-        assert_eq!(
-            delta.buckets[bucket_index(100)],
-            0,
-            "pre-window sample subtracted"
-        );
-    }
-
-    #[test]
-    fn snapshot_json_roundtrip_and_delta() {
-        counter("test_snap_total").add(5);
-        gauge("test_snap_depth").set(3);
-        histogram("test_snap_ns").record(2_000);
-        let before = snapshot();
-        counter("test_snap_total").add(2);
-        histogram("test_snap_ns").record(4_000);
-        let text = snapshot_json();
-        let parsed = MetricsSnapshot::parse_json(&text).expect("parse back");
-        match parsed.get("test_snap_total", "") {
-            Some(SnapshotValue::Counter(n)) => assert!(*n >= 7),
-            other => panic!("counter lost in roundtrip: {:?}", other),
-        }
-        let h = parsed
-            .merged_histogram("test_snap_ns")
-            .expect("histogram present");
-        assert!(h.count >= 2);
-        assert_eq!(h.max, 4_000);
-        // The delta isolates only what happened after `before`.
-        let delta = snapshot().delta_since(&before);
-        match delta.get("test_snap_total", "") {
-            Some(SnapshotValue::Counter(n)) => assert_eq!(*n, 2),
-            other => panic!("bad delta counter: {:?}", other),
-        }
-        let dh = delta.merged_histogram("test_snap_ns").unwrap();
-        assert_eq!(dh.count, 1);
-        assert_eq!(dh.sum, 4_000);
-    }
-
-    #[test]
-    fn snapshot_parse_rejects_malformed() {
-        assert!(MetricsSnapshot::parse_json("nope").is_err());
-        assert!(MetricsSnapshot::parse_json("{}").is_err());
-        assert!(MetricsSnapshot::parse_json(
-            "{\"metrics\": [{\"name\": \"x\", \"type\": \"sparkline\"}]}"
-        )
-        .is_err());
     }
 
     #[test]

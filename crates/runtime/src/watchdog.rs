@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime};
 
+use hiper_platform::json::Json;
 use parking_lot::Mutex;
 
 /// What to do once a stall is confirmed and the flight record is written.
@@ -525,27 +526,28 @@ fn handle_stall(config: &Config, frozen_for: Duration, progress: u64, suspicion:
 }
 
 // ---------------------------------------------------------------------
-// Flight record rendering (hand-rolled JSON; no serde in the tree)
+// Flight record rendering
 // ---------------------------------------------------------------------
 
 /// Most recent events embedded per trace track; full rings would dwarf the
 /// rest of the record.
 const TRACE_TAIL: usize = 256;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn object<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn number(v: impl Into<u128>) -> Json {
+    Json::Number(v.into() as f64)
+}
+
+fn rank(r: Option<usize>) -> Json {
+    r.map_or(Json::Null, |r| number(r as u64))
 }
 
 fn render_flight_record(
@@ -560,117 +562,93 @@ fn render_flight_record(
         .map(|d| d.as_millis())
         .unwrap_or(0);
     let stuck = suspicion.stuck_promise();
-    let mut out = String::with_capacity(16 * 1024);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"detected_unix_ms\": {},\n", unix_ms));
-    out.push_str(&format!("  \"reason\": \"{}\",\n", json_escape(reason)));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        match config.mode {
-            Mode::Warn => "warn",
-            Mode::Abort => "abort",
-        }
-    ));
-    out.push_str(&format!("  \"stall_ms\": {},\n", frozen_for.as_millis()));
-    out.push_str(&format!("  \"progress_count\": {},\n", progress));
-    out.push_str(&format!(
-        "  \"stuck_span\": {},\n",
-        stuck.map(|(_, p)| p.span).unwrap_or(0)
-    ));
-    out.push_str(&format!(
-        "  \"stuck_rank\": {},\n",
-        match stuck.and_then(|(_, p)| p.rank) {
-            Some(r) => r.to_string(),
-            None => "null".to_string(),
-        }
-    ));
     // Unresolved promises, oldest first.
-    out.push_str("  \"unresolved_promises\": [");
-    for (i, (id, p)) in suspicion.stale_promises.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"id\": {}, \"span\": {}, \"rank\": {}, \"age_ms\": {}}}",
-            id,
-            p.span,
-            match p.rank {
-                Some(r) => r.to_string(),
-                None => "null".to_string(),
-            },
-            p.created.elapsed().as_millis()
-        ));
-    }
-    out.push_str("\n  ],\n");
-    // Probe reports.
-    out.push_str("  \"probes\": [");
-    for (i, (name, report)) in suspicion.probe_reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"report\": \"{}\"}}",
-            json_escape(name),
-            json_escape(report)
-        ));
-    }
-    out.push_str("\n  ],\n");
+    let promises = suspicion
+        .stale_promises
+        .iter()
+        .map(|(id, p)| {
+            object([
+                ("id", number(*id)),
+                ("span", number(p.span)),
+                ("rank", rank(p.rank)),
+                ("age_ms", number(p.created.elapsed().as_millis())),
+            ])
+        })
+        .collect();
+    let probes = suspicion
+        .probe_reports
+        .iter()
+        .map(|(name, report)| {
+            object([
+                ("name", Json::from(name.as_str())),
+                ("report", Json::from(report.as_str())),
+            ])
+        })
+        .collect();
     // Per-runtime state sections (scheduler counters, worker states).
-    out.push_str("  \"runtimes\": [");
-    {
-        let inner = state().inner.lock();
-        for (i, (_, name, f)) in inner.infos.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"state\": \"{}\"}}",
-                json_escape(name),
-                json_escape(&f())
-            ));
-        }
-    }
-    out.push_str("\n  ],\n");
-    // Metrics snapshot (OpenMetrics text, embedded verbatim).
-    out.push_str(&format!(
-        "  \"metrics\": \"{}\",\n",
-        json_escape(&hiper_metrics::dump_openmetrics())
-    ));
+    let runtimes = state()
+        .inner
+        .lock()
+        .infos
+        .iter()
+        .map(|(_, name, f)| {
+            object([
+                ("name", Json::from(name.as_str())),
+                ("state", Json::from(f())),
+            ])
+        })
+        .collect();
     // Trace-ring tails: non-destructive snapshot so the end-of-run export
     // still sees everything.
-    out.push_str("  \"trace\": {\"tracks\": [");
-    let snap = hiper_trace::snapshot();
-    for (i, track) in snap.tracks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let tail_from = track.events.len().saturating_sub(TRACE_TAIL);
-        out.push_str(&format!(
-            "\n    {{\"label\": \"{}\", \"rank\": {}, \"events\": {}, \"dropped\": {}, \"tail\": [",
-            json_escape(&track.label),
-            match track.rank {
-                Some(r) => r.to_string(),
-                None => "null".to_string(),
-            },
-            track.events.len(),
-            track.dropped
-        ));
-        for (j, e) in track.events[tail_from..].iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n      {{\"ts_ns\": {}, \"kind\": \"{}\", \"a\": {}, \"b\": {}, \"c\": {}}}",
-                e.ts_ns,
-                e.kind.name(),
-                e.a,
-                e.b,
-                e.c
-            ));
-        }
-        out.push_str("\n    ]}");
-    }
-    out.push_str("\n  ]}\n}\n");
+    let tracks = hiper_trace::snapshot()
+        .tracks
+        .iter()
+        .map(|track| {
+            let tail_from = track.events.len().saturating_sub(TRACE_TAIL);
+            let tail = track.events[tail_from..]
+                .iter()
+                .map(|e| {
+                    object([
+                        ("ts_ns", number(e.ts_ns)),
+                        ("kind", Json::from(e.kind.name())),
+                        ("a", number(e.a)),
+                        ("b", number(e.b)),
+                        ("c", number(e.c)),
+                    ])
+                })
+                .collect();
+            object([
+                ("label", Json::from(track.label.as_str())),
+                ("rank", rank(track.rank)),
+                ("events", number(track.events.len() as u64)),
+                ("dropped", number(track.dropped)),
+                ("tail", Json::Array(tail)),
+            ])
+        })
+        .collect();
+    let record = object([
+        ("detected_unix_ms", number(unix_ms)),
+        ("reason", Json::from(reason)),
+        (
+            "mode",
+            Json::from(match config.mode {
+                Mode::Warn => "warn",
+                Mode::Abort => "abort",
+            }),
+        ),
+        ("stall_ms", number(frozen_for.as_millis())),
+        ("progress_count", number(progress)),
+        ("stuck_span", number(stuck.map_or(0, |(_, p)| p.span))),
+        ("stuck_rank", rank(stuck.and_then(|(_, p)| p.rank))),
+        ("unresolved_promises", Json::Array(promises)),
+        ("probes", Json::Array(probes)),
+        ("runtimes", Json::Array(runtimes)),
+        // OpenMetrics text, embedded verbatim.
+        ("metrics", Json::from(hiper_metrics::dump_openmetrics())),
+        ("trace", object([("tracks", Json::Array(tracks))])),
+    ]);
+    let mut out = record.pretty();
+    out.push('\n');
     out
 }
 
@@ -701,12 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn flight_record_is_valid_shape() {
         let config = Config {
             mode: Mode::Warn,
@@ -725,12 +697,32 @@ mod tests {
             probe_reports: vec![("reliable".into(), "peer 1 stuck \"hol\"".into())],
         };
         let record = render_flight_record(&config, "stall", Duration::from_secs(2), 99, &suspicion);
-        assert!(record.contains("\"reason\": \"stall\""));
+        // The lines CI greps for.
         assert!(record.contains("\"stuck_span\": 42"));
-        assert!(record.contains("\"stuck_rank\": 1"));
-        assert!(record.contains("\"span\": 42"));
-        assert!(record.contains("peer 1 stuck \\\"hol\\\""));
-        assert!(record.contains("\"progress_count\": 99"));
+        assert!(record.contains("\"unresolved_promises\""));
+        let doc = Json::parse(&record).expect("flight record is valid JSON");
+        let field = |k: &str| doc.get(k).and_then(Json::as_f64);
+        assert_eq!(doc.get("reason").and_then(Json::as_str), Some("stall"));
+        assert_eq!(field("stuck_rank"), Some(1.0));
+        assert_eq!(field("progress_count"), Some(99.0));
+        assert_eq!(field("stall_ms"), Some(2000.0));
+        let promise = &doc
+            .get("unresolved_promises")
+            .and_then(Json::as_array)
+            .unwrap()[0];
+        assert_eq!(promise.get("span").and_then(Json::as_f64), Some(42.0));
+        let probe = &doc.get("probes").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(
+            probe.get("report").and_then(Json::as_str),
+            Some("peer 1 stuck \"hol\""),
+            "special characters survive escaping"
+        );
+        assert!(doc.get("metrics").and_then(Json::as_str).is_some());
+        assert!(doc
+            .get("trace")
+            .and_then(|t| t.get("tracks"))
+            .and_then(Json::as_array)
+            .is_some());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Chrome trace-event JSON export.
+//! Chrome trace-event JSON: the writer and the one reader.
 //!
-//! Produces the `{"traceEvents": [...]}` object form of the [Trace Event
-//! Format], loadable in Perfetto (`ui.perfetto.dev`) and
-//! `chrome://tracing`. Layout:
+//! [`chrome_trace_json`] produces the `{"traceEvents": [...]}` object form
+//! of the [Trace Event Format], loadable in Perfetto (`ui.perfetto.dev`)
+//! and `chrome://tracing`. Layout:
 //!
 //! * **pid 1 — "hiper runtime"**: one thread track per event ring (i.e. per
 //!   worker thread, rank main thread, or other emitter). Task execution,
@@ -18,20 +18,31 @@
 //! * **pid 10+N — "rank N runtime"**: in SPMD (cluster-simulator) runs,
 //!   rings whose owning thread was tagged with a simulated rank move to a
 //!   per-rank process so each rank's workers group together; rankless
-//!   rings stay under pid 1. Importers ([`crate::TrackData::rank`] round-
-//!   trips through `hiper-bench`'s traceload) recover the rank as
-//!   `pid - 10`.
+//!   rings stay under pid 1.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
 //! Events are stably sorted by timestamp before writing; within one ring
 //! timestamps are already monotone, so `B`/`E` nesting (which is per-track,
 //! and every duration track is fed by exactly one ring) is preserved.
+//!
+//! [`parse_chrome_trace`] / [`load_chrome_trace`] read such a file back
+//! into [`TraceData`] — the input of `profile`, `trace_check` and
+//! [`crate::check`]. One reader track per exported `(pid, tid)`: runtime
+//! tracks keep their thread label and recover their rank as `pid - 10`;
+//! network events land on per-rank tracks labelled `rank N`. Timestamps
+//! come back as exact nanoseconds. The reader is strict: it accepts the
+//! exporter's vocabulary and nothing else, and names the first event it
+//! cannot read.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::Path;
+
+use hiper_platform::json::Json;
 
 use crate::ring::{EventKind, TraceEvent};
-use crate::{resolve, TraceData};
+use crate::{resolve, TraceData, TrackData};
 
 /// Process id for rankless runtime tracks.
 pub const RUNTIME_PID: u64 = 1;
@@ -528,10 +539,203 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
     out
 }
 
+// ---------------------------------------------------------------------
+// Reader
+// ---------------------------------------------------------------------
+
+/// Loads and parses a Chrome trace file. A file that is not a trace this
+/// crate wrote is an [`std::io::ErrorKind::InvalidData`] error.
+pub fn load_chrome_trace(path: impl AsRef<Path>) -> std::io::Result<TraceData> {
+    let text = std::fs::read_to_string(path)?;
+    parse_chrome_trace(&text).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// Parses Chrome trace-event JSON written by [`chrome_trace_json`] back
+/// into [`TraceData`], one track per `(pid, tid)` in that order.
+pub fn parse_chrome_trace(text: &str) -> Result<TraceData, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .ok_or("missing traceEvents array")?;
+    let mut reader = Reader::default();
+    for (i, ev) in events.iter().enumerate() {
+        reader
+            .event(ev)
+            .map_err(|e| format!("event {}: {}", i, e))?;
+    }
+    Ok(TraceData {
+        tracks: reader.tracks.into_values().collect(),
+    })
+}
+
+fn link(src: u64, dst: u64) -> u64 {
+    (src << 32) | dst
+}
+
+#[derive(Default)]
+struct Reader {
+    tracks: BTreeMap<(u64, u64), TrackData>,
+    /// Module span names already interned, by name.
+    spans: BTreeMap<String, (u64, u64)>,
+}
+
+impl Reader {
+    fn track(&mut self, pid: u64, tid: u64) -> &mut TrackData {
+        self.tracks.entry((pid, tid)).or_insert_with(|| TrackData {
+            label: if pid == NETSIM_PID {
+                format!("rank {}", tid)
+            } else {
+                format!("track-{}", tid)
+            },
+            events: Vec::new(),
+            dropped: 0,
+            rank: pid.checked_sub(RANK_PID_BASE).map(|r| r as usize),
+        })
+    }
+
+    /// Interns a module span name (`module` or `module:op`) back into the
+    /// trace string table as `(module_id, op_id)`. Ids must resolve for
+    /// the program's lifetime, like live ones, so each distinct name is
+    /// leaked once.
+    fn span_ids(&mut self, name: &str) -> (u64, u64) {
+        if let Some(&ids) = self.spans.get(name) {
+            return ids;
+        }
+        let intern = |s: &str| crate::intern(Box::leak(s.to_string().into_boxed_str()));
+        let ids = match name.split_once(':') {
+            Some((module, op)) => (intern(module), intern(op)),
+            None => (intern(name), 0),
+        };
+        self.spans.insert(name.to_string(), ids);
+        ids
+    }
+
+    fn event(&mut self, ev: &Json) -> Result<(), String> {
+        use EventKind::*;
+        let name = ev
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("has no string name")?;
+        let ph = match ev.get("ph").and_then(Json::as_str) {
+            Some("I") => "i",
+            Some(p @ ("B" | "E" | "X" | "i" | "M")) => p,
+            _ => return Err(format!("({}) has bad ph", name)),
+        };
+        let number = |v: Option<&Json>, what: &str| {
+            v.and_then(Json::as_f64)
+                .map(|v| v as u64)
+                .ok_or_else(|| format!("({}) has no numeric {}", name, what))
+        };
+        let pid = number(ev.get("pid"), "pid")?;
+        let args = ev.get("args");
+        if ph == "M" {
+            // Metadata carries no timestamp; only runtime thread names
+            // matter (netsim tracks are named after their rank).
+            if name == "thread_name" && pid != NETSIM_PID {
+                let tid = number(ev.get("tid"), "tid")?;
+                let label = args
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str)
+                    .ok_or("(thread_name) lacks name arg")?;
+                self.track(pid, tid).label = label.to_string();
+            }
+            return Ok(());
+        }
+        let tid = number(ev.get("tid"), "tid")?;
+        let ts_ns = ev
+            .get("ts")
+            .and_then(Json::as_f64)
+            .map(|us| (us * 1_000.0).round() as u64)
+            .ok_or_else(|| format!("({}) has no ts", name))?;
+        let arg = |key: &str| number(args.and_then(|a| a.get(key)), &format!("{} arg", key));
+        let unknown = || Err(format!("unknown event \"{}\" with ph {}", name, ph));
+        let (kind, a, b, c) = if pid == NETSIM_PID {
+            match (name, ph) {
+                (n, "X") if n.starts_with("msg to ") => (
+                    NetSend,
+                    link(arg("src")?, arg("dst")?),
+                    arg("bytes")?,
+                    arg("delay_ns")?,
+                ),
+                ("deliver", "i") => (NetDeliver, link(arg("src")?, tid), arg("bytes")?, 0),
+                ("drop", "i") => (
+                    NetDrop,
+                    link(arg("src")?, arg("dst")?),
+                    arg("bytes")?,
+                    arg("cause")?,
+                ),
+                ("dup", "i") => (NetDup, link(arg("src")?, arg("dst")?), arg("bytes")?, 0),
+                ("retry", "i") => (
+                    RelRetry,
+                    link(tid, arg("dst")?),
+                    arg("seq")?,
+                    arg("attempt")?,
+                ),
+                ("msg_send", "i") => (
+                    MsgSend,
+                    arg("span")?,
+                    link(arg("src")?, arg("dst")?),
+                    arg("msg")?,
+                ),
+                ("msg_deliver", "i") => (
+                    MsgDeliver,
+                    arg("span")?,
+                    link(arg("src")?, arg("dst")?),
+                    arg("msg")?,
+                ),
+                ("rank_down", "i") => (RankDown, arg("rank")?, 0, 0),
+                ("rank_restored", "i") => (RankRestored, arg("rank")?, arg("epoch")?, 0),
+                _ => return unknown(),
+            }
+        } else {
+            match (name, ph) {
+                ("dropped events", "i") => {
+                    let count = arg("count")?;
+                    self.track(pid, tid).dropped += count;
+                    return Ok(());
+                }
+                ("spawn", "i") => (TaskSpawn, arg("task")?, arg("parent")?, arg("place")?),
+                ("task", "B") => (TaskBegin, arg("task")?, 0, arg("place")?),
+                ("task", "E") => (TaskEnd, arg("task")?, 0, 0),
+                ("pop", "i") => (Pop, arg("task")?, arg("place")?, 0),
+                ("steal", "i") => (Steal, arg("task")?, arg("victim")?, arg("place")?),
+                ("steal.batch", "i") => (BatchSteal, arg("banked")?, 0, 0),
+                ("injector", "i") => (InjectorDrain, arg("task")?, arg("place")?, 0),
+                ("park", "B") => (Park, 0, 0, 0),
+                ("park", "E") => (Unpark, arg("woken")?, 0, 0),
+                ("task panic", "i") => (TaskPanic, arg("task")?, arg("place")?, 0),
+                ("task_retry", "i") => (TaskRetry, arg("attempt")?, arg("max_attempts")?, 0),
+                // Every other duration span is a module span.
+                (span, "B") => {
+                    let bytes = match args.and_then(|a| a.get("bytes")) {
+                        Some(_) => arg("bytes")?,
+                        None => 0,
+                    };
+                    let (m, o) = self.span_ids(span);
+                    (ModuleEnter, m, o, bytes)
+                }
+                (span, "E") => {
+                    let (m, o) = self.span_ids(span);
+                    (ModuleExit, m, o, 0)
+                }
+                _ => return unknown(),
+            }
+        };
+        self.track(pid, tid).events.push(TraceEvent {
+            ts_ns,
+            kind,
+            a,
+            b,
+            c,
+        });
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TrackData;
 
     fn data(events: Vec<TraceEvent>) -> TraceData {
         TraceData {
@@ -601,5 +805,153 @@ mod tests {
         };
         let json = chrome_trace_json(&d);
         assert!(json.contains("we\\\"ird\\\\name"));
+    }
+
+    fn ev(ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64) -> TraceEvent {
+        TraceEvent {
+            ts_ns,
+            kind,
+            a,
+            b,
+            c,
+        }
+    }
+
+    #[test]
+    fn reader_returns_every_field_the_exporter_writes() {
+        use EventKind::*;
+        let (mpi, send, barrier) = (
+            crate::intern("mpi"),
+            crate::intern("send"),
+            crate::intern("barrier"),
+        );
+        // Fields the exporter does not write are zero here.
+        let worker = vec![
+            ev(1_000, TaskSpawn, 7, 3, 2),
+            ev(1_100, Pop, 7, 2, 0),
+            ev(1_200, Steal, 7, 1, 2),
+            ev(1_300, BatchSteal, 4, 0, 0),
+            ev(1_400, InjectorDrain, 7, 2, 0),
+            ev(1_500, TaskBegin, 7, 0, 2),
+            ev(1_600, ModuleEnter, mpi, send, 64),
+            ev(1_700, ModuleEnter, barrier, 0, 0),
+            ev(1_800, ModuleExit, barrier, 0, 0),
+            ev(1_900, ModuleExit, mpi, send, 0),
+            ev(2_000, TaskPanic, 7, 2, 0),
+            ev(2_100, TaskRetry, 1, 3, 0),
+            ev(2_200, TaskEnd, 7, 0, 0),
+            ev(2_300, Park, 0, 0, 0),
+            ev(2_400, Unpark, 1, 0, 0),
+        ];
+        let link = 1 << 32; // rank 1 -> rank 0
+        let net = vec![
+            ev(3_001, NetSend, link, 128, 40_000),
+            ev(3_001, MsgSend, 7, link, 99),
+            ev(3_100, NetDrop, link, 16, 2),
+            ev(3_200, NetDup, link, 16, 0),
+            ev(3_300, RelRetry, link, 5, 2),
+            ev(43_001, NetDeliver, link, 128, 0),
+            ev(43_001, MsgDeliver, 7, link, 99),
+            ev(50_000, RankDown, 1, 0, 0),
+            ev(60_000, RankRestored, 1, 2, 0),
+        ];
+        let track = |label: &str, events: &[TraceEvent], dropped, rank| TrackData {
+            label: label.into(),
+            events: events.to_vec(),
+            dropped,
+            rank,
+        };
+        let original = TraceData {
+            tracks: vec![
+                track("hiper-worker-0", &worker, 0, None),
+                track("hiper-worker-1", &worker, 5, Some(1)),
+                track("netsim-engine", &net, 0, None),
+            ],
+        };
+        let read = parse_chrome_trace(&chrome_trace_json(&original)).expect("reads back");
+
+        // Runtime tracks come back whole: label, rank, dropped count, and
+        // every event with its exact nanosecond stamp.
+        for t in &original.tracks[..2] {
+            let back = read.tracks.iter().find(|r| r.label == t.label).unwrap();
+            assert_eq!((back.rank, back.dropped), (t.rank, t.dropped));
+            assert_eq!(back.events, t.events, "{}", t.label);
+        }
+        // Network events move to per-rank tracks: sends, drops, dups and
+        // retries on the source's, deliveries on the destination's, and
+        // lifecycle events on the rank's own.
+        let rank_track = |r: u64| {
+            let label = format!("rank {}", r);
+            &read
+                .tracks
+                .iter()
+                .find(|t| t.label == label)
+                .unwrap()
+                .events
+        };
+        let kinds = |events: &[TraceEvent]| events.iter().map(|e| e.kind).collect::<Vec<_>>();
+        assert_eq!(kinds(rank_track(0)), vec![NetDeliver, MsgDeliver]);
+        assert_eq!(
+            kinds(rank_track(1)),
+            vec![
+                NetSend,
+                MsgSend,
+                NetDrop,
+                NetDup,
+                RelRetry,
+                RankDown,
+                RankRestored
+            ]
+        );
+        let mut back: Vec<TraceEvent> =
+            rank_track(0).iter().chain(rank_track(1)).copied().collect();
+        let mut want = net;
+        back.sort_by_key(|e| (e.ts_ns, e.kind as u8));
+        want.sort_by_key(|e| (e.ts_ns, e.kind as u8));
+        assert_eq!(back, want);
+    }
+
+    #[test]
+    fn reader_rejects_what_the_exporter_never_writes() {
+        let wrap = |event: &str| format!("{{\"traceEvents\":[{}]}}", event);
+        let ok = r#"{"name":"rank_down","ph":"i","ts":1.000,"pid":2,"tid":1,"args":{"rank":1}}"#;
+        assert!(parse_chrome_trace(&wrap(ok)).is_ok());
+        for (bad, why) in [
+            (
+                r#"{"name":7,"ph":"i","ts":1,"pid":1,"tid":0}"#,
+                "string name",
+            ),
+            (
+                r#"{"name":"pop","ph":"ii","ts":1,"pid":1,"tid":0}"#,
+                "bad ph",
+            ),
+            (
+                r#"{"name":"pop","ph":"Q","ts":1,"pid":1,"tid":0}"#,
+                "bad ph",
+            ),
+            (
+                r#"{"name":"pop","ph":"i","ts":1,"pid":"1","tid":0}"#,
+                "numeric pid",
+            ),
+            (r#"{"name":"pop","ph":"i","ts":1,"pid":1}"#, "numeric tid"),
+            (r#"{"name":"pop","ph":"i","pid":1,"tid":0}"#, "no ts"),
+            (
+                r#"{"name":"msg_send","ph":"i","ts":1,"pid":2,"tid":0,"args":{"span":1,"src":0,"dst":1}}"#,
+                "msg arg",
+            ),
+            (
+                r#"{"name":"rank_restored","ph":"i","ts":1,"pid":2,"tid":1,"args":{"rank":1}}"#,
+                "epoch arg",
+            ),
+            (
+                r#"{"name":"blink","ph":"i","ts":1,"pid":1,"tid":0}"#,
+                "unknown event",
+            ),
+        ] {
+            let err = parse_chrome_trace(&wrap(bad)).expect_err(bad);
+            assert!(err.contains(why), "{}: {}", bad, err);
+        }
+        assert!(parse_chrome_trace("not json").is_err());
+        assert!(parse_chrome_trace("{\"other\": 1}").is_err());
     }
 }

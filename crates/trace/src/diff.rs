@@ -6,11 +6,8 @@
 //! distribution shifts (DESIGN.md §2.14).
 //!
 //! The unit of comparison is a [`DiffInput`]: a compact per-run profile
-//! extracted from drained [`TraceData`] (or re-loaded Chrome JSON) by
-//! [`DiffInput::from_trace`], optionally refined with a machine-readable
-//! metrics snapshot via [`DiffInput::apply_metrics`]. Profiles serialize to
-//! a few KB of JSON (`profile --save-profile`), and two of them diff
-//! without re-reading the source traces.
+//! extracted from drained [`TraceData`] (or a Chrome trace read back with
+//! [`crate::chrome::load_chrome_trace`]) by [`DiffInput::from_trace`].
 //!
 //! Alignment is structural, not positional: task ids differ across runs,
 //! so tasks are matched by a signature hashed from their spawn-tree path
@@ -22,17 +19,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use hiper_metrics::{bucket_index, HistogramSnapshot, MetricsSnapshot};
-use hiper_platform::json::Json;
+use hiper_metrics::{bucket_index, HistogramSnapshot};
 
 use crate::analysis::{ProfileAnalysis, SegmentKind};
 use crate::ring::EventKind;
 use crate::{resolve, TraceData};
-
-/// The runtime's spawn→begin latency histogram; when a metrics snapshot
-/// carries it, [`DiffInput::apply_metrics`] prefers it over the
-/// trace-derived histogram (metrics see every task, rings can wrap).
-pub const QUEUE_LATENCY_METRIC: &str = "hiper_task_queue_latency_ns";
 
 /// Critical-path segment kinds in report order.
 pub const PATH_KINDS: [SegmentKind; 6] = [
@@ -87,8 +78,7 @@ pub struct DagSignature {
     pub tasks: u64,
     /// Order-independent fold (xor) of all task signatures.
     pub digest: u64,
-    /// Sorted per-task signatures. Empty when the profile was re-loaded
-    /// from compact JSON (only the digest survives serialization).
+    /// Sorted per-task signatures.
     pub sigs: Vec<u64>,
 }
 
@@ -355,206 +345,6 @@ impl DiffInput {
         };
         out
     }
-
-    /// Refines the profile with a machine-readable metrics snapshot (a
-    /// per-run *delta*, see [`hiper_metrics::MetricsSnapshot::delta_since`]):
-    /// the runtime's queue-latency histogram replaces the trace-derived one
-    /// when present, since metrics see every task while rings can wrap.
-    pub fn apply_metrics(&mut self, snap: &MetricsSnapshot) {
-        if let Some(h) = snap.merged_histogram(QUEUE_LATENCY_METRIC) {
-            if h.count > 0 {
-                self.queue = h;
-            }
-        }
-    }
-
-    /// Serializes the profile to JSON (the `*.profile.json` that
-    /// `profile --save-profile` writes). Per-task signatures do not survive —
-    /// only the order-independent digest — keeping the file a few KB.
-    pub fn to_json(&self) -> String {
-        let mut doc = BTreeMap::new();
-        doc.insert("hiper_profile".to_string(), Json::from("v1"));
-        doc.insert("label".to_string(), Json::from(self.label.as_str()));
-        let n = |v: u64| Json::Number(v as f64);
-        doc.insert("wall_ns".to_string(), n(self.wall_ns));
-        doc.insert("events".to_string(), n(self.events));
-        doc.insert("dropped".to_string(), n(self.dropped));
-        doc.insert("orphan_delivers".to_string(), n(self.orphan_delivers));
-        doc.insert("path_total_ns".to_string(), n(self.path_total_ns));
-        let mut kinds = BTreeMap::new();
-        for (i, &k) in PATH_KINDS.iter().enumerate() {
-            kinds.insert(k.name().to_string(), n(self.path_kind_ns[i]));
-        }
-        doc.insert("path_kind_ns".to_string(), Json::Object(kinds));
-        doc.insert(
-            "per_rank_path_ns".to_string(),
-            Json::Array(
-                self.per_rank_path_ns
-                    .iter()
-                    .map(|&(r, ns)| Json::Array(vec![n(r as u64), n(ns)]))
-                    .collect(),
-            ),
-        );
-        if let Some(r) = self.straggler_rank {
-            doc.insert("straggler_rank".to_string(), n(r as u64));
-        }
-        let mut modules = BTreeMap::new();
-        for (name, m) in &self.modules {
-            let mut obj = BTreeMap::new();
-            obj.insert("calls".to_string(), n(m.calls));
-            obj.insert("total_ns".to_string(), n(m.total_ns));
-            obj.insert("path_ns".to_string(), n(m.path_ns));
-            obj.insert("path_task".to_string(), n(m.path_task));
-            if let Some(r) = m.path_rank {
-                obj.insert("path_rank".to_string(), n(r as u64));
-            }
-            modules.insert(name.clone(), Json::Object(obj));
-        }
-        doc.insert("modules".to_string(), Json::Object(modules));
-        doc.insert(
-            "workers".to_string(),
-            Json::Array(
-                self.workers
-                    .iter()
-                    .map(|w| {
-                        let mut obj = BTreeMap::new();
-                        if let Some(r) = w.rank {
-                            obj.insert("rank".to_string(), n(r as u64));
-                        }
-                        obj.insert("label".to_string(), Json::from(w.label.as_str()));
-                        obj.insert("tasks".to_string(), n(w.tasks));
-                        obj.insert("busy_ns".to_string(), n(w.busy_ns));
-                        Json::Object(obj)
-                    })
-                    .collect(),
-            ),
-        );
-        let mut queue = BTreeMap::new();
-        queue.insert("count".to_string(), n(self.queue.count));
-        queue.insert("sum".to_string(), n(self.queue.sum));
-        queue.insert("max".to_string(), n(self.queue.max));
-        queue.insert(
-            "buckets".to_string(),
-            Json::Array(
-                self.queue
-                    .buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| Json::Array(vec![n(i as u64), n(c)]))
-                    .collect(),
-            ),
-        );
-        doc.insert("queue_latency_ns".to_string(), Json::Object(queue));
-        let mut dag = BTreeMap::new();
-        dag.insert("tasks".to_string(), n(self.dag.tasks));
-        // The digest uses all 64 bits; hex text keeps it exact through the
-        // f64-only JSON number type.
-        dag.insert(
-            "digest".to_string(),
-            Json::from(format!("{:016x}", self.dag.digest)),
-        );
-        doc.insert("dag".to_string(), Json::Object(dag));
-        let mut out = Json::Object(doc).pretty();
-        out.push('\n');
-        out
-    }
-
-    /// Parses a profile written by [`DiffInput::to_json`].
-    pub fn parse_json(text: &str) -> Result<DiffInput, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        if doc.get("hiper_profile").and_then(Json::as_str).is_none() {
-            return Err("not a hiper profile (missing hiper_profile marker)".into());
-        }
-        let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let mut out = DiffInput {
-            label: doc
-                .get("label")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            wall_ns: num(&doc, "wall_ns"),
-            events: num(&doc, "events"),
-            dropped: num(&doc, "dropped"),
-            orphan_delivers: num(&doc, "orphan_delivers"),
-            path_total_ns: num(&doc, "path_total_ns"),
-            straggler_rank: doc
-                .get("straggler_rank")
-                .and_then(Json::as_f64)
-                .map(|r| r as usize),
-            ..DiffInput::default()
-        };
-        if let Some(kinds) = doc.get("path_kind_ns").and_then(Json::as_object) {
-            for (i, &k) in PATH_KINDS.iter().enumerate() {
-                out.path_kind_ns[i] =
-                    kinds.get(k.name()).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            }
-        }
-        for pair in doc
-            .get("per_rank_path_ns")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-        {
-            let pair = pair.as_array().unwrap_or(&[]);
-            if let (Some(r), Some(ns)) = (
-                pair.first().and_then(Json::as_f64),
-                pair.get(1).and_then(Json::as_f64),
-            ) {
-                out.per_rank_path_ns.push((r as usize, ns as u64));
-            }
-        }
-        if let Some(modules) = doc.get("modules").and_then(Json::as_object) {
-            for (name, m) in modules {
-                out.modules.insert(
-                    name.clone(),
-                    ModuleStat {
-                        calls: num(m, "calls"),
-                        total_ns: num(m, "total_ns"),
-                        path_ns: num(m, "path_ns"),
-                        path_task: num(m, "path_task"),
-                        path_rank: m
-                            .get("path_rank")
-                            .and_then(Json::as_f64)
-                            .map(|r| r as usize),
-                    },
-                );
-            }
-        }
-        for w in doc.get("workers").and_then(Json::as_array).unwrap_or(&[]) {
-            out.workers.push(WorkerStat {
-                rank: w.get("rank").and_then(Json::as_f64).map(|r| r as usize),
-                label: w
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                tasks: num(w, "tasks"),
-                busy_ns: num(w, "busy_ns"),
-            });
-        }
-        if let Some(q) = doc.get("queue_latency_ns") {
-            out.queue.count = num(q, "count");
-            out.queue.sum = num(q, "sum");
-            out.queue.max = num(q, "max");
-            for pair in q.get("buckets").and_then(Json::as_array).unwrap_or(&[]) {
-                let pair = pair.as_array().unwrap_or(&[]);
-                let i = pair.first().and_then(Json::as_f64).unwrap_or(0.0) as usize;
-                let c = pair.get(1).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                if i < out.queue.buckets.len() {
-                    out.queue.buckets[i] = c;
-                }
-            }
-        }
-        if let Some(dag) = doc.get("dag") {
-            out.dag.tasks = num(dag, "tasks");
-            out.dag.digest = dag
-                .get("digest")
-                .and_then(Json::as_str)
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .unwrap_or(0);
-        }
-        Ok(out)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -568,49 +358,40 @@ pub struct Alignment {
     pub base_tasks: u64,
     /// Tasks in the candidate DAG.
     pub cand_tasks: u64,
-    /// Structural signatures present in both multisets (0 when either
-    /// side carries only a digest).
+    /// Structural signatures present in both multisets.
     pub matched: u64,
-    /// Matched fraction of the larger DAG; with digest-only profiles this
-    /// is 1.0 on digest+count equality, else 0.0.
+    /// Matched fraction of the larger DAG (1.0 when both are empty).
     pub fraction: f64,
     /// Digests (and task counts) are identical.
     pub exact: bool,
 }
 
 fn align(base: &DagSignature, cand: &DagSignature) -> Alignment {
-    let mut out = Alignment {
-        base_tasks: base.tasks,
-        cand_tasks: cand.tasks,
-        exact: base.digest == cand.digest && base.tasks == cand.tasks,
-        ..Alignment::default()
-    };
-    let denom = base.tasks.max(cand.tasks);
-    if !base.sigs.is_empty() && !cand.sigs.is_empty() {
-        // Both sorted: multiset intersection in one pass.
-        let (mut i, mut j, mut matched) = (0usize, 0usize, 0u64);
-        while i < base.sigs.len() && j < cand.sigs.len() {
-            match base.sigs[i].cmp(&cand.sigs[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    matched += 1;
-                    i += 1;
-                    j += 1;
-                }
+    // Both sorted: multiset intersection in one pass.
+    let (mut i, mut j, mut matched) = (0usize, 0usize, 0u64);
+    while i < base.sigs.len() && j < cand.sigs.len() {
+        match base.sigs[i].cmp(&cand.sigs[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                matched += 1;
+                i += 1;
+                j += 1;
             }
         }
-        out.matched = matched;
-        out.fraction = if denom == 0 {
+    }
+    let denom = base.tasks.max(cand.tasks);
+    Alignment {
+        base_tasks: base.tasks,
+        cand_tasks: cand.tasks,
+        matched,
+        fraction: if denom == 0 {
             1.0
         } else {
             matched as f64 / denom as f64
-        };
-    } else {
-        out.fraction = if out.exact { 1.0 } else { 0.0 };
-        out.matched = if out.exact { base.tasks } else { 0 };
+        },
+        exact: base.digest == cand.digest && base.tasks == cand.tasks,
     }
-    out
 }
 
 /// One segment kind's before/after on the critical path.
@@ -1069,105 +850,6 @@ impl TraceDiff {
         }
         s
     }
-
-    /// Renders the attribution as JSON (`profile --diff --json`).
-    pub fn to_json(&self) -> String {
-        let n = |v: u64| Json::Number(v as f64);
-        let i = |v: i64| Json::Number(v as f64);
-        let mut doc = BTreeMap::new();
-        doc.insert("hiper_diff".to_string(), Json::from("v1"));
-        doc.insert("base".to_string(), Json::from(self.base_label.as_str()));
-        doc.insert(
-            "candidate".to_string(),
-            Json::from(self.cand_label.as_str()),
-        );
-        doc.insert("wall_delta_ns".to_string(), i(self.wall_delta_ns));
-        doc.insert("path_delta_ns".to_string(), i(self.path_delta_ns));
-        doc.insert("partial".to_string(), Json::Bool(self.partial));
-        let mut alignment = BTreeMap::new();
-        alignment.insert("base_tasks".to_string(), n(self.alignment.base_tasks));
-        alignment.insert("cand_tasks".to_string(), n(self.alignment.cand_tasks));
-        alignment.insert("matched".to_string(), n(self.alignment.matched));
-        alignment.insert(
-            "fraction".to_string(),
-            Json::Number(self.alignment.fraction),
-        );
-        alignment.insert("exact".to_string(), Json::Bool(self.alignment.exact));
-        doc.insert("alignment".to_string(), Json::Object(alignment));
-        let mut kinds = BTreeMap::new();
-        for k in &self.path_kinds {
-            let mut obj = BTreeMap::new();
-            obj.insert("base_ns".to_string(), n(k.base_ns));
-            obj.insert("cand_ns".to_string(), n(k.cand_ns));
-            obj.insert("delta_ns".to_string(), i(k.delta_ns));
-            kinds.insert(k.name.to_string(), Json::Object(obj));
-        }
-        doc.insert("path_kinds".to_string(), Json::Object(kinds));
-        doc.insert(
-            "ranked".to_string(),
-            Json::Array(
-                self.ranked
-                    .iter()
-                    .map(|c| {
-                        let mut obj = BTreeMap::new();
-                        obj.insert("category".to_string(), Json::from(c.category));
-                        obj.insert("name".to_string(), Json::from(c.name.as_str()));
-                        obj.insert("base_ns".to_string(), n(c.base_ns));
-                        obj.insert("cand_ns".to_string(), n(c.cand_ns));
-                        obj.insert("delta_ns".to_string(), i(c.delta_ns));
-                        obj.insert("share".to_string(), Json::Number(c.share));
-                        obj.insert("location".to_string(), Json::from(c.location.as_str()));
-                        Json::Object(obj)
-                    })
-                    .collect(),
-            ),
-        );
-        doc.insert(
-            "modules".to_string(),
-            Json::Array(
-                self.modules
-                    .iter()
-                    .map(|m| {
-                        let mut obj = BTreeMap::new();
-                        obj.insert("name".to_string(), Json::from(m.name.as_str()));
-                        obj.insert("base_total_ns".to_string(), n(m.base.total_ns));
-                        obj.insert("cand_total_ns".to_string(), n(m.cand.total_ns));
-                        obj.insert("delta_total_ns".to_string(), i(m.delta_total_ns));
-                        obj.insert("delta_path_ns".to_string(), i(m.delta_path_ns));
-                        Json::Object(obj)
-                    })
-                    .collect(),
-            ),
-        );
-        doc.insert(
-            "workers".to_string(),
-            Json::Array(
-                self.workers
-                    .iter()
-                    .map(|w| {
-                        let mut obj = BTreeMap::new();
-                        if let Some(r) = w.rank {
-                            obj.insert("rank".to_string(), n(r as u64));
-                        }
-                        obj.insert("label".to_string(), Json::from(w.label.as_str()));
-                        obj.insert("base_busy_ns".to_string(), n(w.base_busy_ns));
-                        obj.insert("cand_busy_ns".to_string(), n(w.cand_busy_ns));
-                        obj.insert("delta_ns".to_string(), i(w.delta_ns));
-                        Json::Object(obj)
-                    })
-                    .collect(),
-            ),
-        );
-        let mut queue = BTreeMap::new();
-        queue.insert("d_p50_ns".to_string(), i(self.queue.d_p50));
-        queue.insert("d_p90_ns".to_string(), i(self.queue.d_p90));
-        queue.insert("d_p99_ns".to_string(), i(self.queue.d_p99));
-        queue.insert("d_mean_ns".to_string(), Json::Number(self.queue.d_mean));
-        doc.insert("queue".to_string(), Json::Object(queue));
-        let mut out = Json::Object(doc).pretty();
-        out.push('\n');
-        out
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -1318,39 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_json_roundtrip_diffs_to_zero() {
-        let live = DiffInput::from_trace("run", &pingpong(1));
-        let loaded = DiffInput::parse_json(&live.to_json()).expect("parse profile back");
-        let diff = TraceDiff::build(&live, &loaded, DiffOptions::default());
-        assert_eq!(diff.wall_delta_ns, 0);
-        assert!(diff.ranked.is_empty(), "{:?}", diff.ranked);
-        // The reloaded side carries only the digest; equality still holds.
-        assert!(diff.alignment.exact);
-        assert!((diff.alignment.fraction - 1.0).abs() < 1e-12);
-        assert_eq!(loaded.dag.tasks, live.dag.tasks);
-        assert_eq!(loaded.dag.digest, live.dag.digest);
-        assert_eq!(loaded.queue.count, live.queue.count);
-        assert_eq!(loaded.workers, live.workers);
-    }
-
-    #[test]
-    fn metrics_snapshot_overrides_queue_histogram() {
-        let mut input = DiffInput::from_trace("run", &pingpong(1));
-        let trace_count = input.queue.count;
-        assert!(trace_count > 0);
-        let h = hiper_metrics::histogram("hiper_task_queue_latency_ns");
-        h.record(1 << 14);
-        h.record(1 << 14);
-        h.record(1 << 14);
-        let snap = hiper_metrics::snapshot();
-        input.apply_metrics(&snap);
-        assert!(
-            input.queue.count >= 3,
-            "metrics histogram replaced the trace-derived one"
-        );
-    }
-
-    #[test]
     fn dag_signatures_ignore_task_ids() {
         // Same shape, shifted ids and timestamps: signatures must match.
         let shape = |id0: u64, t0: u64| {
@@ -1433,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn markdown_and_json_render() {
+    fn markdown_renders() {
         let base = DiffInput::from_trace("base", &pingpong(1));
         let cand = DiffInput::from_trace("cand", &pingpong(3));
         let diff = TraceDiff::build(&base, &cand, DiffOptions { top: 5 });
@@ -1441,13 +1090,6 @@ mod tests {
         assert!(md.contains("Top contributors"));
         assert!(md.contains("mpi:recv"));
         assert!(md.contains("Critical-path segments"));
-        let json = diff.to_json();
-        let doc = Json::parse(&json).expect("valid json");
-        assert_eq!(doc.get("hiper_diff").and_then(Json::as_str), Some("v1"));
-        assert!(doc
-            .get("ranked")
-            .and_then(Json::as_array)
-            .is_some_and(|r| !r.is_empty()));
-        assert!(diff.ranked.len() <= 5);
+        assert!(!diff.ranked.is_empty() && diff.ranked.len() <= 5);
     }
 }

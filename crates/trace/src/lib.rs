@@ -6,7 +6,8 @@
 //! module entry/exit, simulated-network sends and deliveries — recorded
 //! into per-thread lock-free ring buffers and exported as Chrome
 //! trace-event JSON (loadable in Perfetto / `chrome://tracing`) plus a
-//! compact aggregated report.
+//! compact aggregated report. The same crate reads those files back
+//! ([`chrome::load_chrome_trace`]) and validates them ([`check`]).
 //!
 //! # Cost model
 //!
@@ -33,12 +34,14 @@
 //! never as a stall of the traced program.
 
 pub mod analysis;
+mod check;
 pub mod chrome;
 pub mod clock;
 pub mod diff;
 pub mod report;
 mod ring;
 
+pub use check::{check, CheckReport, TrackSummary};
 pub use ring::{EventKind, EventRing, TraceEvent};
 
 use std::cell::{Cell, RefCell};

@@ -1,17 +1,19 @@
 //! End-to-end tracing: run a forasync workload plus an MPI ping-pong under
-//! an enabled trace session, write the Chrome trace-event JSON, parse it
-//! back, and verify the invariants a timeline viewer needs — B/E pairing
-//! and monotone timestamps per (pid, tid) track, worker tracks under the
-//! runtime process (rankless runtimes under pid 1, per-rank runtimes under
-//! pid 10 + rank), and per-rank network tracks under the netsim process.
+//! an enabled trace session, write the Chrome trace-event JSON, read it
+//! back with `hiper::trace::chrome`, and require `hiper::trace::check` to
+//! find no violation (monotone time and balanced spans per track, task and
+//! message correlation). The run must not be vacuous: task spans on
+//! rankless worker tracks, MPI module spans on per-rank worker tracks, and
+//! network traffic on one track per rank.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hiper::mpi::MpiModule;
 use hiper::netsim::{NetConfig, SpmdBuilder};
-use hiper::platform::json::Json;
 use hiper::prelude::*;
+use hiper::trace::chrome::load_chrome_trace;
+use hiper::trace::EventKind;
 
 #[test]
 fn traced_run_produces_valid_chrome_json() {
@@ -61,117 +63,43 @@ fn traced_run_produces_valid_chrome_json() {
             },
         );
 
-    let data = session.finish().expect("trace file written");
-    assert!(!data.is_empty(), "traced run recorded no events");
-
-    let text = std::fs::read_to_string(&path).expect("read trace back");
+    let live = session.finish().expect("trace file written");
+    assert!(!live.is_empty(), "traced run recorded no events");
+    let data = load_chrome_trace(&path).expect("trace reads back");
     std::fs::remove_file(&path).ok();
-    let doc = Json::parse(&text).expect("trace is valid JSON");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .expect("traceEvents array");
-    assert!(events.len() > 100, "suspiciously small trace");
+    assert!(data.len() > 100, "suspiciously small trace");
+    let report = hiper::trace::check(&data);
+    assert!(
+        report.ok(),
+        "trace invariants broken:\n{}{:?}",
+        report,
+        report.errors
+    );
 
-    // Per-(pid, tid) track state: last ts, open B/E stack, lossiness.
-    struct Track {
-        last_ts: f64,
-        stack: Vec<String>,
-        lossy: bool,
-    }
-    let mut tracks: BTreeMap<(u64, u64), Track> = BTreeMap::new();
-    let mut runtime_task_spans = 0u64;
-    let mut net_sends = 0u64;
-    let mut net_delivers = 0u64;
-    let mut module_spans = 0u64;
-    let mut sched_instants = 0u64;
-
-    for (i, ev) in events.iter().enumerate() {
-        let name = ev.get("name").and_then(Json::as_str).expect("event name");
-        let ph = ev.get("ph").and_then(Json::as_str).expect("event ph");
-        let pid = ev.get("pid").and_then(Json::as_f64).expect("event pid") as u64;
-        if ph == "M" {
-            continue;
-        }
-        let tid = ev.get("tid").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let ts = ev
-            .get("ts")
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("event {} ({}) has no ts", i, name));
-        let track = tracks.entry((pid, tid)).or_insert(Track {
-            last_ts: f64::NEG_INFINITY,
-            stack: Vec::new(),
-            lossy: false,
-        });
-        assert!(
-            ts >= track.last_ts,
-            "event {} ({}) goes back in time on pid {} tid {}: {} < {}",
-            i,
-            name,
-            pid,
-            tid,
-            ts,
-            track.last_ts
-        );
-        track.last_ts = ts;
-        if name == "dropped events" {
-            track.lossy = true;
-        }
-        match ph {
-            "B" => track.stack.push(name.to_string()),
-            "E" => {
-                let open = track.stack.pop();
-                match open {
-                    Some(open) => {
-                        assert_eq!(
-                            open, name,
-                            "event {}: E closes a different B on pid {} tid {}",
-                            i, pid, tid
-                        );
-                        if pid == 1 && name == "task" {
-                            runtime_task_spans += 1;
-                        }
-                        // Module spans run on rank worker threads, which
-                        // now export under per-rank pids (10 + rank).
-                        if pid >= 10 && name.contains("mpi") {
-                            module_spans += 1;
-                        }
-                    }
-                    None => assert!(
-                        track.lossy,
-                        "event {}: E \"{}\" with no open B on pid {} tid {}",
-                        i, name, pid, tid
-                    ),
-                }
-            }
-            "X" => {
-                if pid == 2 {
-                    net_sends += 1;
-                }
-            }
-            "i" | "I" => {
-                if pid == 2 && name == "deliver" {
-                    net_delivers += 1;
-                }
-                if pid == 1 && (name == "pop" || name == "steal" || name == "injector") {
-                    sched_instants += 1;
-                }
-            }
-            other => panic!("event {}: unexpected ph {:?}", i, other),
-        }
-    }
-    for ((pid, tid), track) in &tracks {
-        assert!(
-            track.stack.is_empty() || track.lossy,
-            "pid {} tid {}: {} unclosed span(s)",
-            pid,
-            tid,
-            track.stack.len()
-        );
-    }
-
-    // The layers the issue demands all show up: per-worker task execution,
+    // Every traced layer shows up: per-worker task execution,
     // scheduler transitions, module spans, and per-rank network traffic.
+    let count = |pick: &dyn Fn(&hiper::trace::TrackData, &hiper::trace::TraceEvent) -> bool| {
+        data.tracks
+            .iter()
+            .flat_map(|t| t.events.iter().map(move |e| (t, e)))
+            .filter(|(t, e)| pick(t, e))
+            .count()
+    };
+    let runtime_task_spans = count(&|t, e| t.rank.is_none() && e.kind == EventKind::TaskEnd);
+    let sched_instants = count(&|t, e| {
+        t.rank.is_none()
+            && matches!(
+                e.kind,
+                EventKind::Pop | EventKind::Steal | EventKind::InjectorDrain
+            )
+    });
+    // Module spans run on rank worker threads, which export under per-rank
+    // pids (10 + rank).
+    let module_spans = count(&|t, e| {
+        t.rank.is_some() && e.kind == EventKind::ModuleExit && hiper::trace::resolve(e.a) == "mpi"
+    });
+    let net_sends = count(&|_, e| e.kind == EventKind::NetSend);
+    let net_delivers = count(&|_, e| e.kind == EventKind::NetDeliver);
     assert!(
         runtime_task_spans > 50,
         "task spans: {}",
@@ -181,19 +109,35 @@ fn traced_run_produces_valid_chrome_json() {
     assert!(module_spans > 0, "no mpi module spans");
     assert!(net_sends >= 20, "net sends: {}", net_sends);
     assert!(net_delivers >= 20, "net delivers: {}", net_delivers);
-    let runtime_tracks = tracks.keys().filter(|(pid, _)| *pid == 1).count();
-    let net_tracks = tracks.keys().filter(|(pid, _)| *pid == 2).count();
-    let ranked_pids: std::collections::BTreeSet<u64> = tracks
-        .keys()
-        .filter(|(pid, _)| *pid >= 10)
-        .map(|(pid, _)| *pid)
-        .collect();
+
+    // Network tracks hold network events only; everything else is a
+    // runtime track.
+    let is_net = |e: &hiper::trace::TraceEvent| {
+        matches!(
+            e.kind,
+            EventKind::NetSend
+                | EventKind::NetDeliver
+                | EventKind::NetDrop
+                | EventKind::NetDup
+                | EventKind::RelRetry
+                | EventKind::MsgSend
+                | EventKind::MsgDeliver
+                | EventKind::RankDown
+                | EventKind::RankRestored
+        )
+    };
+    let net_tracks = data
+        .tracks
+        .iter()
+        .filter(|t| !t.events.is_empty() && t.events.iter().all(is_net))
+        .count();
+    let runtime_tracks = data
+        .tracks
+        .iter()
+        .filter(|t| t.rank.is_none() && t.events.iter().any(|e| !is_net(e)))
+        .count();
+    let ranks: BTreeSet<usize> = data.tracks.iter().filter_map(|t| t.rank).collect();
     assert!(runtime_tracks >= 2, "worker tracks: {}", runtime_tracks);
     assert_eq!(net_tracks, 2, "one netsim track per rank");
-    assert_eq!(
-        ranked_pids.len(),
-        2,
-        "one runtime process per rank: {:?}",
-        ranked_pids
-    );
+    assert_eq!(ranks.len(), 2, "one runtime process per rank: {:?}", ranks);
 }
