@@ -301,7 +301,12 @@ impl GpuDevice {
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("hiper-gpu{}-{}", index, name))
-                    .spawn(move || engine.run())
+                    .spawn(move || {
+                        // PCIe times are modeled with `thread::sleep`;
+                        // without this each one overshoots by ~57 µs.
+                        hiper_trace::clock::precise_timers();
+                        engine.run()
+                    })
                     .expect("failed to spawn device engine"),
             );
         }

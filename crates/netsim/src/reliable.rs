@@ -1699,6 +1699,9 @@ fn flusher_pass(me: &ReliableTransport) {
 /// (a stopped wire can never ack, so retrying against it only burns CPU and
 /// spams `Unreachable` errors).
 fn retry_loop(weak: Weak<ReliableTransport>) {
+    // The coalesce and ack deadlines are ~100 µs; default timer slack
+    // would add about half again to every one of them.
+    hiper_trace::clock::precise_timers();
     while let Some(me) = weak.upgrade() {
         if me.transport.engine().is_stopped() {
             return;
