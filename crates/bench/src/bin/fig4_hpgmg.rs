@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use hiper_bench::hpgmg::{self, Dims, HiperBackend, MgParams, MpiOmpBackend};
 use hiper_bench::util::{
-    env_param, metrics_session, print_rank_stats, print_table, stats_enabled, summarize,
-    trace_session, Timing,
+    env_param, metrics_session, print_rank_stats, print_table, reject_unknown_args, stats_enabled,
+    summarize, trace_session, Timing,
 };
 use hiper_forkjoin::Pool;
 use hiper_mpi::MpiModule;
@@ -107,6 +107,7 @@ fn run_hiper(nodes: usize, params: MgParams, reps: usize) -> (Timing, Vec<f64>) 
 }
 
 fn main() {
+    reject_unknown_args("HIPER_NODES_MAX, HIPER_MG_N, HIPER_MG_NZ, HIPER_MG_VCYCLES, HIPER_REPS");
     let _trace = trace_session();
     let _metrics = metrics_session();
     let nodes_max = env_param("HIPER_NODES_MAX", 8);

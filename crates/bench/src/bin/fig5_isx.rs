@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use hiper_bench::isx::{self, IsxParams};
 use hiper_bench::util::{
-    env_param, metrics_session, print_rank_stats, print_table, stats_enabled, summarize,
-    trace_session, Timing,
+    env_param, metrics_session, print_rank_stats, print_table, reject_unknown_args, stats_enabled,
+    summarize, trace_session, Timing,
 };
 use hiper_forkjoin::Pool;
 use hiper_netsim::{NetConfig, SpmdBuilder};
@@ -155,6 +155,7 @@ fn heap_bytes(keys_per_rank: usize) -> usize {
 }
 
 fn main() {
+    reject_unknown_args("HIPER_NODES_MAX, HIPER_KEYS_PER_NODE, HIPER_REPS");
     let _trace = trace_session();
     let _metrics = metrics_session();
     let nodes_max = env_param("HIPER_NODES_MAX", 8);

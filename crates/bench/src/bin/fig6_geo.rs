@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use hiper_bench::geo::{self, GeoParams};
 use hiper_bench::util::{
-    env_param, metrics_session, print_rank_stats, print_table, stats_enabled, summarize,
-    trace_session, Timing,
+    env_param, metrics_session, print_rank_stats, print_table, reject_unknown_args, stats_enabled,
+    summarize, trace_session, Timing,
 };
 use hiper_gpu::GpuModule;
 use hiper_mpi::MpiModule;
@@ -82,6 +82,7 @@ fn run_geo(nodes: usize, params: GeoParams, hiper: bool, reps: usize) -> (Timing
 }
 
 fn main() {
+    reject_unknown_args("HIPER_NODES_MAX, HIPER_GEO_N, HIPER_GEO_STEPS, HIPER_REPS");
     let _trace = trace_session();
     let _metrics = metrics_session();
     let nodes_max = env_param("HIPER_NODES_MAX", 8);

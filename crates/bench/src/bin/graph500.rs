@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use hiper_bench::graph500::{self, G500Params};
 use hiper_bench::util::{
-    env_param, metrics_session, print_rank_stats, print_table, stats_enabled, summarize,
-    trace_session, Timing,
+    env_param, metrics_session, print_rank_stats, print_table, reject_unknown_args, stats_enabled,
+    summarize, trace_session, Timing,
 };
 use hiper_mpi::MpiModule;
 use hiper_netsim::{NetConfig, SpmdBuilder};
@@ -85,6 +85,7 @@ fn run_g500(
 }
 
 fn main() {
+    reject_unknown_args("HIPER_NODES_MAX, HIPER_G500_SCALE, HIPER_G500_EF, HIPER_REPS");
     let _trace = trace_session();
     let _metrics = metrics_session();
     let nodes_max = env_param("HIPER_NODES_MAX", 8);

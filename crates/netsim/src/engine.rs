@@ -46,58 +46,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::message::{Message, Rank};
 
-/// Deterministic per-channel delay scaling, for differential-profiling
-/// self-tests: doubling one channel's modeled latency must surface as a
-/// top-ranked attribution in `profile --diff`. Scales live in a global
-/// table (millionths, so 2_000_000 = 2x) and multiply the modeled delay
-/// before it reaches the timed wheel and the trace — the injected slowdown
-/// is exactly what the exported timeline shows.
-#[cfg(feature = "slowmo")]
-pub mod slowmo {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
-
-    use crate::message::Channel;
-
-    const UNIT: u64 = 1_000_000;
-    const CHANNELS: usize = 4;
-
-    static SCALES: [AtomicU64; CHANNELS] = [
-        AtomicU64::new(UNIT),
-        AtomicU64::new(UNIT),
-        AtomicU64::new(UNIT),
-        AtomicU64::new(UNIT),
-    ];
-
-    /// Sets the delay multiplier for one channel (1.0 = unmodified).
-    /// Takes effect for messages sent after the call, process-wide.
-    pub fn set_channel_scale(channel: Channel, scale: f64) {
-        let fixed = (scale.max(0.0) * UNIT as f64) as u64;
-        if let Some(slot) = SCALES.get(channel.0 as usize) {
-            slot.store(fixed, Ordering::Relaxed);
-        }
-    }
-
-    /// Restores every channel to 1.0.
-    pub fn reset() {
-        for slot in &SCALES {
-            slot.store(UNIT, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn scale(channel: Channel, delay: Duration) -> Duration {
-        let fixed = SCALES
-            .get(channel.0 as usize)
-            .map_or(UNIT, |s| s.load(Ordering::Relaxed));
-        if fixed == UNIT {
-            return delay;
-        }
-        Duration::from_nanos(
-            ((delay.as_nanos() as u64) as u128 * fixed as u128 / UNIT as u128) as u64,
-        )
-    }
-}
-
 /// Packs a (src, dst) pair into one trace-event payload word.
 pub(crate) fn link_word(src: Rank, dst: Rank) -> u64 {
     ((src as u64) << 32) | dst as u64
@@ -729,8 +677,6 @@ impl DeliveryEngine {
     pub fn send(&self, msg: Message) {
         assert!(msg.dst < self.ranks, "destination rank out of range");
         let delay = self.config.delay(msg.src, msg.dst, msg.wire_bytes());
-        #[cfg(feature = "slowmo")]
-        let delay = slowmo::scale(msg.channel, delay);
         self.stats.messages.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes

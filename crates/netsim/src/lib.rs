@@ -24,8 +24,6 @@ mod reliable;
 pub mod supervise;
 
 pub use cluster::{Cluster, RankEnv, SpmdBuilder};
-#[cfg(feature = "slowmo")]
-pub use engine::slowmo;
 pub use engine::{NetConfig, NetStats, NetStatsSnapshot, RankEvent};
 pub use fault::{FaultDecision, FaultPlan, Partition, RankKill};
 pub use message::{Channel, Message, Rank};

@@ -840,6 +840,10 @@ impl Runtime {
         } else {
             0
         };
+        // Counted before the body runs: the body may satisfy a future's
+        // promise, and the check-out below may end a finish scope; either
+        // releases a waiter that may read the count.
+        self.inner.sched.stats.task_executed(shard);
         let result = catch_unwind(AssertUnwindSafe(|| body.call()));
         if spawn_ns != 0 {
             met::task_run().record(hiper_trace::clock::now_ns().saturating_sub(begin_ns));
@@ -876,8 +880,6 @@ impl Runtime {
                 scope.fail(TaskError::new(msg));
             }
         }
-        // Counted before the check-out, which may release a waiter that reads it.
-        self.inner.sched.stats.task_executed(shard);
         if let Some(scope) = scope {
             scope.check_out();
         }

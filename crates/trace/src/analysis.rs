@@ -86,7 +86,7 @@ impl SegmentKind {
 }
 
 /// One contiguous slice of the critical path.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// Task the slice is attributed to.
     pub task: u64,
@@ -102,7 +102,7 @@ pub struct Segment {
 }
 
 /// The longest spawn chain and its exact time decomposition.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CriticalPath {
     /// Task ids root-first.
     pub chain: Vec<u64>,

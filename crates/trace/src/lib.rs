@@ -37,7 +37,6 @@ pub mod analysis;
 mod check;
 pub mod chrome;
 pub mod clock;
-pub mod diff;
 pub mod report;
 mod ring;
 
