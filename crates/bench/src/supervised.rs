@@ -137,20 +137,10 @@ fn run_supervised_rounds(
                             *state.lock() = (next, digest);
                         },
                         |_attempt| {
-                            let dbg = hiper_netsim::supervise::debug_enabled();
                             while state.lock().0 < rounds {
                                 let round = state.lock().0;
-                                if dbg {
-                                    eprintln!("[sup r{}] round {} start", env.rank, round);
-                                }
                                 raw.reset_alloc(base_alloc);
                                 let d = round_fn(&shmem2, round);
-                                if dbg {
-                                    eprintln!(
-                                        "[sup r{}] round {} computed; barrier",
-                                        env.rank, round
-                                    );
-                                }
                                 shmem2.barrier_all();
                                 {
                                     let mut st = state.lock();
@@ -175,9 +165,6 @@ fn run_supervised_rounds(
                                     out.extend_from_slice(&img);
                                     out
                                 });
-                                if dbg {
-                                    eprintln!("[sup r{}] round {} checkpointed", env.rank, round);
-                                }
                                 ctx.crash_point();
                             }
                             state.lock().1.clone()

@@ -17,9 +17,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hiper_platform::{PlaceId, PlaceKind};
-use hiper_runtime::{Future, ModuleError, Runtime, SchedulerModule};
-use parking_lot::RwLock;
+use hiper_platform::PlaceKind;
+use hiper_runtime::{Future, ModuleCtx, ModuleError, Runtime, SchedulerModule};
 
 /// Storage performance model.
 #[derive(Debug, Clone, Copy)]
@@ -43,12 +42,7 @@ impl Default for DiskModel {
 pub struct CheckpointModule {
     dir: PathBuf,
     model: DiskModel,
-    state: RwLock<Option<ModuleState>>,
-}
-
-struct ModuleState {
-    rt: Runtime,
-    place: PlaceId,
+    ctx: ModuleCtx,
 }
 
 /// Error returned by [`CheckpointModule::restore`].
@@ -124,16 +118,8 @@ impl CheckpointModule {
         Arc::new(CheckpointModule {
             dir: dir.into(),
             model,
-            state: RwLock::new(None),
+            ctx: ModuleCtx::new("checkpoint", "checkpoint-poll"),
         })
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&ModuleState) -> R) -> R {
-        let guard = self.state.read();
-        let st = guard
-            .as_ref()
-            .expect("checkpoint module used before runtime initialization");
-        f(st)
     }
 
     fn path(&self, name: &str, version: u64) -> PathBuf {
@@ -147,9 +133,8 @@ impl CheckpointModule {
         let path = self.path(name, version);
         let tmp = path.with_extension("tmp");
         let model = self.model;
-        self.with_state(|st| {
-            let _t = st.rt.module_stats().time("checkpoint");
-            st.rt.spawn_future_at(st.place, move || {
+        self.ctx.time_op("", 0, |b| {
+            b.rt.spawn_future_at(b.place, move || {
                 // Charge modeled write time (makes blocking-vs-overlap
                 // measurable even on fast tmpfs).
                 std::thread::sleep(
@@ -171,8 +156,8 @@ impl CheckpointModule {
     /// Asynchronously restores snapshot `version` of `name`.
     pub fn restore(&self, name: &str, version: u64) -> RestoreFuture {
         let path = self.path(name, version);
-        self.with_state(|st| {
-            st.rt.spawn_future_at(st.place, move || {
+        self.ctx.with(|b| {
+            b.rt.spawn_future_at(b.place, move || {
                 let file = match std::fs::read(&path) {
                     Ok(f) => f,
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -201,8 +186,8 @@ impl CheckpointModule {
         versions.reverse(); // newest first
         let paths: Vec<(u64, PathBuf)> =
             versions.iter().map(|&v| (v, self.path(name, v))).collect();
-        Some(self.with_state(|st| {
-            st.rt.spawn_future_at(st.place, move || {
+        Some(self.ctx.with(|b| {
+            b.rt.spawn_future_at(b.place, move || {
                 let mut last_err = RestoreError::NotFound;
                 for (version, path) in paths {
                     let file = match std::fs::read(&path) {
@@ -272,26 +257,17 @@ impl SchedulerModule for CheckpointModule {
 
     fn initialize(&self, rt: &Runtime) -> Result<(), ModuleError> {
         // Platform assertion: a storage place must exist.
-        let place = rt
-            .place_of_kind(&PlaceKind::LocalDisk)
-            .or_else(|| rt.place_of_kind(&PlaceKind::Nvm))
-            .ok_or_else(|| {
-                ModuleError::new(
-                    "checkpoint",
-                    "platform model contains no LocalDisk or Nvm place",
-                )
-            })?;
+        let place = self
+            .ctx
+            .find_place(rt, &[PlaceKind::LocalDisk, PlaceKind::Nvm])?;
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| ModuleError::new("checkpoint", e.to_string()))?;
-        *self.state.write() = Some(ModuleState {
-            rt: rt.clone(),
-            place,
-        });
+        self.ctx.bind(rt, place, ());
         Ok(())
     }
 
     fn finalize(&self, _rt: &Runtime) {
-        *self.state.write() = None;
+        self.ctx.unbind();
     }
 }
 

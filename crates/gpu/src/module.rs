@@ -11,49 +11,36 @@ use std::sync::Arc;
 
 use hiper_platform::{PlaceId, PlaceKind};
 use hiper_runtime::{
-    CopyHandler, CopyRequest, Future, MemLoc, ModuleError, Poller, Promise, Runtime,
+    CopyHandler, CopyRequest, Future, MemLoc, ModuleCtx, ModuleError, Promise, Runtime,
     SchedulerModule, TaskError,
 };
-use parking_lot::RwLock;
 
 use crate::device::{DeviceBuffer, GpuDevice, OpDone, PcieModel, Stream};
 
-type State = Arc<RwLock<Option<ModuleState>>>;
+type Ctx = ModuleCtx<Devices>;
 
 /// The HiPER CUDA module. Devices are created at initialization, one per GPU
 /// place in the platform model (the `device_index` place attribute selects
 /// the device index).
 pub struct GpuModule {
     pcie: PcieModel,
-    state: State,
+    ctx: Arc<Ctx>,
 }
 
-struct ModuleState {
-    rt: Runtime,
+/// The module's state while bound; its place is the first device's.
+struct Devices {
     devices: Vec<Arc<GpuDevice>>,
     /// Place of each device (indexed by device index).
     places: Vec<PlaceId>,
-    poller: Arc<Poller>,
     /// Internal per-device stream for module-initiated (`async_copy`)
     /// transfers.
     copy_streams: Vec<Stream>,
 }
 
-/// Bridges a device completion marker to a HiPER promise via the module's
-/// polling task.
-fn poll_completion(state: &ModuleState, rt: &Runtime, op: Arc<OpDone>, done: Promise<()>) {
-    let mut slot = Some(done);
-    state.poller.submit(
-        rt,
-        Box::new(move || {
-            if op.test() {
-                slot.take().expect("polled after completion").put(());
-                true
-            } else {
-                false
-            }
-        }),
-    );
+/// The poll that turns a device completion marker into a HiPER promise
+/// through the module's polling task.
+fn completion(op: Arc<OpDone>) -> impl FnMut() -> Option<()> + Send + 'static {
+    move || op.test().then_some(())
 }
 
 impl GpuModule {
@@ -66,45 +53,34 @@ impl GpuModule {
     pub fn with_pcie(pcie: PcieModel) -> Arc<GpuModule> {
         Arc::new(GpuModule {
             pcie,
-            state: Arc::new(RwLock::new(None)),
+            ctx: Arc::new(ModuleCtx::new("cuda", "cuda-poll")),
         })
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&ModuleState) -> R) -> R {
-        let guard = self.state.read();
-        let state = guard
-            .as_ref()
-            .expect("GPU module used before runtime initialization");
-        f(state)
     }
 
     /// Number of simulated devices.
     pub fn device_count(&self) -> usize {
-        self.with_state(|s| s.devices.len())
+        self.ctx.with(|b| b.state.devices.len())
     }
 
     /// The platform place of `device`.
     pub fn place_of(&self, device: usize) -> PlaceId {
-        self.with_state(|s| s.places[device])
+        self.ctx.with(|b| b.state.places[device])
     }
 
     /// Allocates device memory (cudaMalloc).
     pub fn alloc(&self, device: usize, bytes: usize) -> Arc<DeviceBuffer> {
-        self.with_state(|s| s.devices[device].alloc(bytes))
+        self.ctx.with(|b| b.state.devices[device].alloc(bytes))
     }
 
     /// Creates a stream on `device` (cudaStreamCreate).
     pub fn create_stream(&self, device: usize) -> Stream {
-        self.with_state(|s| s.devices[device].create_stream())
+        self.ctx.with(|b| b.state.devices[device].create_stream())
     }
 
     /// Wraps a device completion marker in a HiPER future, satisfied by the
     /// module's polling task.
     pub fn future_of(&self, done: Arc<OpDone>) -> Future<()> {
-        let promise = Promise::new();
-        let fut = promise.future();
-        self.with_state(|state| poll_completion(state, &state.rt, done, promise));
-        fut
+        self.ctx.with(|b| b.poll_future(completion(done)))
     }
 
     /// Asynchronous kernel launch returning a future.
@@ -113,11 +89,10 @@ impl GpuModule {
         stream: &Stream,
         kernel: impl FnOnce() + Send + 'static,
     ) -> Future<()> {
-        let done = self.with_state(|s| {
-            let _t = s.rt.module_stats().time_op("cuda", "launch", 0);
-            s.devices[stream.device()].launch_kernel(stream, kernel)
-        });
-        self.future_of(done)
+        self.ctx.time_op("launch", 0, |b| {
+            let done = b.state.devices[stream.device()].launch_kernel(stream, kernel);
+            b.poll_future(completion(done))
+        })
     }
 
     /// Kernel launch predicated on dependencies: the launch happens when
@@ -132,18 +107,20 @@ impl GpuModule {
         let all = hiper_runtime::when_all(deps);
         let promise = Promise::new();
         let fut = promise.future();
-        let state = Arc::clone(&self.state);
-        let stream = stream.clone();
-        let slot = parking_lot::Mutex::new(Some((
-            promise,
-            Box::new(kernel) as Box<dyn FnOnce() + Send>,
-        )));
+        let (ctx, stream) = (Arc::clone(&self.ctx), stream.clone());
         all.on_ready(move || {
-            let (promise, kernel) = slot.lock().take().expect("deps fired twice");
-            let guard = state.read();
-            let s = guard.as_ref().expect("kernel launch after finalization");
-            let done = s.devices[stream.device()].launch_kernel(&stream, kernel);
-            poll_completion(s, &s.rt, done, promise);
+            // A dependency put after shutdown finds the module unbound: the
+            // launch's future is poisoned, the putter's thread unharmed.
+            let mut promise = Some(promise);
+            ctx.try_with(|b| {
+                let done = b.state.devices[stream.device()].launch_kernel(&stream, kernel);
+                b.complete_when(promise.take().expect("launched once"), completion(done));
+            });
+            if let Some(promise) = promise {
+                promise.poison(TaskError::new(
+                    "cuda: kernel launch after module finalization",
+                ));
+            }
         });
         fut
     }
@@ -157,11 +134,8 @@ impl GpuModule {
         dst_off: usize,
         src: Vec<u8>,
     ) {
-        self.with_state(|s| {
-            let _t =
-                s.rt.module_stats()
-                    .time_op("cuda", "memcpy_h2d", src.len() as u64);
-            s.devices[stream.device()].memcpy_h2d_blocking(stream, dst, dst_off, src)
+        self.ctx.time_op("memcpy_h2d", src.len() as u64, |b| {
+            b.state.devices[stream.device()].memcpy_h2d_blocking(stream, dst, dst_off, src)
         })
     }
 
@@ -173,11 +147,8 @@ impl GpuModule {
         src_off: usize,
         nbytes: usize,
     ) -> Vec<u8> {
-        self.with_state(|s| {
-            let _t =
-                s.rt.module_stats()
-                    .time_op("cuda", "memcpy_d2h", nbytes as u64);
-            s.devices[stream.device()].memcpy_d2h_blocking(stream, src, src_off, nbytes)
+        self.ctx.time_op("memcpy_d2h", nbytes as u64, |b| {
+            b.state.devices[stream.device()].memcpy_d2h_blocking(stream, src, src_off, nbytes)
         })
     }
 
@@ -189,9 +160,10 @@ impl GpuModule {
         dst_off: usize,
         src: Vec<u8>,
     ) -> Future<()> {
-        let done = self
-            .with_state(|s| s.devices[stream.device()].memcpy_h2d_async(stream, dst, dst_off, src));
-        self.future_of(done)
+        self.ctx.with(|b| {
+            let done = b.state.devices[stream.device()].memcpy_h2d_async(stream, dst, dst_off, src);
+            b.poll_future(completion(done))
+        })
     }
 
     /// Async D2H copy returning a future on the fetched bytes.
@@ -204,8 +176,8 @@ impl GpuModule {
     ) -> Future<Vec<u8>> {
         let promise = Promise::new();
         let fut = promise.future();
-        self.with_state(|s| {
-            s.devices[stream.device()].memcpy_d2h_async(
+        self.ctx.with(|b| {
+            b.state.devices[stream.device()].memcpy_d2h_async(
                 stream,
                 src,
                 src_off,
@@ -218,7 +190,7 @@ impl GpuModule {
 
     /// Blocks until `device` has drained all submitted work.
     pub fn device_synchronize(&self, device: usize) {
-        self.with_state(|s| s.devices[device].synchronize());
+        self.ctx.with(|b| b.state.devices[device].synchronize());
     }
 
     /// `MemLoc` for an `async_copy` endpoint on a device buffer.
@@ -230,104 +202,88 @@ impl GpuModule {
     }
 }
 
-fn handle_copy(state_arc: &State, rt: &Runtime, req: CopyRequest, done: Promise<()>) {
+fn handle_copy(ctx: &Ctx, rt: &Runtime, req: CopyRequest, done: Promise<()>) {
     // A misrouted or malformed copy request fails the copy's promise with a
     // typed error (poison propagates through the owning finish scope)
     // instead of panicking the worker thread.
-    if let Err((done, err)) = try_handle_copy(state_arc, rt, &req, done) {
+    let mut done = Some(done);
+    let result = ctx.try_with(|b| {
+        let op = start_copy(&b.state, rt, &req)?;
+        b.complete_when(done.take().expect("copy started once"), completion(op));
+        Ok(())
+    });
+    let finalized = || ModuleError::protocol("cuda", "async_copy after module finalization");
+    if let (Err(err), Some(done)) = (result.unwrap_or_else(|| Err(finalized())), done) {
         done.poison(TaskError::new(err.to_string()));
     }
 }
 
-/// Plumbing for [`handle_copy`]: `done` is consumed by the completion
-/// poller on success and handed back alongside the error otherwise.
-fn try_handle_copy(
-    state_arc: &State,
+/// Starts the device transfer behind one `async_copy` and returns its
+/// completion marker.
+fn start_copy(
+    state: &Devices,
     rt: &Runtime,
     req: &CopyRequest,
-    done: Promise<()>,
-) -> Result<(), (Promise<()>, ModuleError)> {
-    macro_rules! bail {
-        ($e:expr) => {
-            return Err((done, $e))
-        };
-    }
-    macro_rules! try_or_bail {
-        ($r:expr) => {
-            match $r {
-                Ok(v) => v,
-                Err(e) => bail!(e),
-            }
-        };
-    }
-    let guard = state_arc.read();
-    let state = match guard.as_ref() {
-        Some(s) => s,
-        None => bail!(ModuleError::protocol(
-            "cuda",
-            "async_copy after module finalization"
-        )),
-    };
+) -> Result<Arc<OpDone>, ModuleError> {
     let src_kind = rt.config().graph.place(req.src_place).kind.clone();
     let dst_kind = rt.config().graph.place(req.dst_place).kind.clone();
     match (src_kind, dst_kind) {
         (PlaceKind::SystemMemory, PlaceKind::GpuMemory) => {
-            let dev = try_or_bail!(device_of_place(state, req.dst_place));
-            let (dst, dst_off) = try_or_bail!(downcast_buffer(&req.dst));
+            let dev = device_of_place(state, req.dst_place)?;
+            let (dst, dst_off) = downcast_buffer(&req.dst)?;
             let mut src = vec![0u8; req.nbytes];
             match &req.src {
                 MemLoc::Host { buf, offset } => buf.read_bytes(*offset, &mut src),
-                _ => bail!(ModuleError::protocol(
-                    "cuda",
-                    "H2D copy source must be a host buffer"
-                )),
+                _ => {
+                    return Err(ModuleError::protocol(
+                        "cuda",
+                        "H2D copy source must be a host buffer",
+                    ))
+                }
             }
-            let op =
-                state.devices[dev].memcpy_h2d_async(&state.copy_streams[dev], &dst, dst_off, src);
-            poll_completion(state, rt, op, done);
+            Ok(state.devices[dev].memcpy_h2d_async(&state.copy_streams[dev], &dst, dst_off, src))
         }
         (PlaceKind::GpuMemory, PlaceKind::SystemMemory) => {
-            let dev = try_or_bail!(device_of_place(state, req.src_place));
-            let (src, src_off) = try_or_bail!(downcast_buffer(&req.src));
+            let dev = device_of_place(state, req.src_place)?;
+            let (src, src_off) = downcast_buffer(&req.src)?;
             let (host, host_off) = match &req.dst {
                 MemLoc::Host { buf, offset } => (Arc::clone(buf), *offset),
-                _ => bail!(ModuleError::protocol(
-                    "cuda",
-                    "D2H copy destination must be a host buffer"
-                )),
+                _ => {
+                    return Err(ModuleError::protocol(
+                        "cuda",
+                        "D2H copy destination must be a host buffer",
+                    ))
+                }
             };
-            let op = state.devices[dev].memcpy_d2h_async(
+            Ok(state.devices[dev].memcpy_d2h_async(
                 &state.copy_streams[dev],
                 &src,
                 src_off,
                 req.nbytes,
                 move |data| host.write_bytes(host_off, &data),
-            );
-            poll_completion(state, rt, op, done);
+            ))
         }
         (PlaceKind::GpuMemory, PlaceKind::GpuMemory) => {
-            let sdev = try_or_bail!(device_of_place(state, req.src_place));
-            let (src, src_off) = try_or_bail!(downcast_buffer(&req.src));
-            let (dst, dst_off) = try_or_bail!(downcast_buffer(&req.dst));
-            let op = state.devices[sdev].memcpy_d2d_async(
+            let sdev = device_of_place(state, req.src_place)?;
+            let (src, src_off) = downcast_buffer(&req.src)?;
+            let (dst, dst_off) = downcast_buffer(&req.dst)?;
+            Ok(state.devices[sdev].memcpy_d2d_async(
                 &state.copy_streams[sdev],
                 &dst,
                 dst_off,
                 &src,
                 src_off,
                 req.nbytes,
-            );
-            poll_completion(state, rt, op, done);
+            ))
         }
-        (s, d) => bail!(ModuleError::protocol(
+        (s, d) => Err(ModuleError::protocol(
             "cuda",
-            format!("cannot handle {} -> {} copies", s, d)
+            format!("cannot handle {} -> {} copies", s, d),
         )),
     }
-    Ok(())
 }
 
-fn device_of_place(state: &ModuleState, place: PlaceId) -> Result<usize, ModuleError> {
+fn device_of_place(state: &Devices, place: PlaceId) -> Result<usize, ModuleError> {
     state
         .places
         .iter()
@@ -354,14 +310,9 @@ impl SchedulerModule for GpuModule {
     }
 
     fn initialize(&self, rt: &Runtime) -> Result<(), ModuleError> {
+        self.ctx.find_place(rt, &[PlaceKind::GpuMemory])?;
         let graph = &rt.config().graph;
         let gpu_places = graph.places_of_kind(&PlaceKind::GpuMemory);
-        if gpu_places.is_empty() {
-            return Err(ModuleError::new(
-                "cuda",
-                "platform model contains no GPU places",
-            ));
-        }
         // Order devices by their `device_index` attribute (default: place
         // order).
         let mut ordered: Vec<(usize, PlaceId)> = gpu_places
@@ -385,22 +336,19 @@ impl SchedulerModule for GpuModule {
         let copy_streams: Vec<Stream> = devices.iter().map(|d| d.create_stream()).collect();
         // Completion sweeps are placed at the first GPU place: GPU work is
         // scheduled with everything else on the unified runtime.
-        let poller = Poller::new("cuda-poll", places[0]);
-        *self.state.write() = Some(ModuleState {
-            rt: rt.clone(),
+        let first = places[0];
+        let state = Devices {
             devices,
             places,
-            poller,
             copy_streams,
-        });
+        };
+        self.ctx.bind(rt, first, state);
         Ok(())
     }
 
     fn finalize(&self, _rt: &Runtime) {
-        if let Some(state) = self.state.write().take() {
-            for d in &state.devices {
-                d.stop();
-            }
+        for d in self.ctx.unbind().map(|s| s.devices).unwrap_or_default() {
+            d.stop();
         }
     }
 
@@ -413,9 +361,9 @@ impl SchedulerModule for GpuModule {
             (PlaceKind::GpuMemory, PlaceKind::SystemMemory),
             (PlaceKind::GpuMemory, PlaceKind::GpuMemory),
         ] {
-            let state = Arc::clone(&self.state);
+            let ctx = Arc::clone(&self.ctx);
             let handler: Arc<CopyHandler> =
-                Arc::new(move |rt, req, done| handle_copy(&state, rt, req, done));
+                Arc::new(move |rt, req, done| handle_copy(&ctx, rt, req, done));
             reg.register(src, dst, handler);
         }
     }

@@ -1,11 +1,12 @@
 //! Tests for the simulated device and the CUDA module.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hiper_gpu::{GpuDevice, GpuModule, PcieModel};
 use hiper_platform::autogen;
-use hiper_runtime::{HostBuffer, MemLoc, RuntimeBuilder, SchedulerModule};
+use hiper_runtime::{HostBuffer, MemLoc, Promise, RuntimeBuilder, SchedulerModule};
 
 fn fast_pcie() -> PcieModel {
     PcieModel {
@@ -183,6 +184,28 @@ fn module_launch_await_waits_for_dependencies() {
         assert_eq!(b1.with(|bytes| (bytes[0], bytes[1])), (7, 8));
     });
     rt.shutdown();
+}
+
+#[test]
+fn launch_await_after_finalize_poisons_its_future() {
+    let (rt, gpu) = gpu_runtime(1, 1);
+    let stream = gpu.create_stream(0);
+    let dep = Promise::new();
+    let ran = Arc::new(AtomicBool::new(false));
+    let ran2 = Arc::clone(&ran);
+    let launched = gpu.launch_await(&stream, &[dep.future()], move || {
+        ran2.store(true, Ordering::SeqCst);
+    });
+    rt.shutdown();
+    // The dependency fires after the module unbound: the put returns and
+    // the launch's future fails instead of the putter's thread panicking.
+    dep.put(());
+    let err = launched.poison_error().expect("launch future poisoned");
+    assert!(err.message.contains("after module finalization"), "{}", err);
+    assert!(
+        !ran.load(Ordering::SeqCst),
+        "kernel ran on a stopped device"
+    );
 }
 
 #[test]

@@ -19,11 +19,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use hiper_netsim::pod::{from_bytes, Pod};
 use hiper_netsim::{Rank, Transport};
-use hiper_platform::{PlaceId, PlaceKind};
-use hiper_runtime::{Future, ModuleError, Poller, Promise, Runtime, SchedulerModule};
-use parking_lot::RwLock;
+use hiper_platform::PlaceKind;
+use hiper_runtime::{Future, ModuleCtx, ModuleError, Promise, Runtime, SchedulerModule};
 
-use crate::raw::{RawComm, RecvStatus, Request};
+use crate::raw::{RawComm, RecvStatus};
 use crate::typed::{ReduceOp, Reducible};
 
 /// The HiPER MPI module. Register with [`RuntimeBuilder::module`] and call
@@ -33,13 +32,7 @@ use crate::typed::{ReduceOp, Reducible};
 /// [`RuntimeBuilder::module`]: hiper_runtime::RuntimeBuilder::module
 pub struct MpiModule {
     raw: Arc<RawComm>,
-    state: RwLock<Option<ModuleState>>,
-}
-
-struct ModuleState {
-    rt: Runtime,
-    interconnect: PlaceId,
-    poller: Arc<Poller>,
+    ctx: ModuleCtx,
 }
 
 impl MpiModule {
@@ -47,7 +40,7 @@ impl MpiModule {
     pub fn new(transport: Transport) -> Arc<MpiModule> {
         Arc::new(MpiModule {
             raw: RawComm::new(transport),
-            state: RwLock::new(None),
+            ctx: ModuleCtx::new("mpi", "mpi-poll"),
         })
     }
 
@@ -67,39 +60,6 @@ impl MpiModule {
         self.raw.nranks()
     }
 
-    fn with_state<R>(&self, f: impl FnOnce(&ModuleState) -> R) -> R {
-        let guard = self.state.read();
-        let state = guard
-            .as_ref()
-            .expect("MPI module used before runtime initialization");
-        f(state)
-    }
-
-    /// Taskify helper (§II-C1): run `f` as a task at the Interconnect place
-    /// and block the calling task (help-first) until it completes. `op` and
-    /// `bytes` tag the stats/trace span (bytes 0 when not meaningful).
-    fn taskify<R: Send + 'static>(
-        &self,
-        op: &'static str,
-        bytes: u64,
-        f: impl FnOnce() -> R + Send + 'static,
-    ) -> R {
-        self.with_state(|state| {
-            let _t = state.rt.module_stats().time_op("mpi", op, bytes);
-            let slot = Arc::new(parking_lot::Mutex::new(None));
-            let out = Arc::clone(&slot);
-            let fut = state.rt.spawn_future_at(state.interconnect, move || {
-                *out.lock() = Some(f());
-            });
-            fut.wait();
-            let result = slot
-                .lock()
-                .take()
-                .expect("taskified call produced no value");
-            result
-        })
-    }
-
     // ------------------------------------------------------------------
     // Blocking APIs (taskified)
     // ------------------------------------------------------------------
@@ -109,7 +69,8 @@ impl MpiModule {
         let raw = Arc::clone(&self.raw);
         let payload = hiper_netsim::pod::to_bytes(data);
         let bytes = payload.len() as u64;
-        self.taskify("send", bytes, move || raw.send(dst, tag, payload));
+        self.ctx
+            .taskify("send", bytes, move || raw.send(dst, tag, payload));
     }
 
     /// `MPI_Recv`: taskified blocking receive.
@@ -119,14 +80,14 @@ impl MpiModule {
     /// is merely descheduled.
     pub fn recv<T: Pod>(&self, src: Option<Rank>, tag: Option<u64>) -> (Vec<T>, Rank, u64) {
         let raw = Arc::clone(&self.raw);
-        let status = self.taskify("recv", 0, move || raw.recv(src, tag));
+        let status = self.ctx.taskify("recv", 0, move || raw.recv(src, tag));
         (from_bytes(&status.data), status.src, status.tag)
     }
 
     /// `MPI_Barrier`: taskified.
     pub fn barrier(&self) {
         let raw = Arc::clone(&self.raw);
-        self.taskify("barrier", 0, move || raw.barrier());
+        self.ctx.taskify("barrier", 0, move || raw.barrier());
     }
 
     /// `MPI_Allreduce`: taskified.
@@ -134,7 +95,8 @@ impl MpiModule {
         let raw = Arc::clone(&self.raw);
         let bytes = std::mem::size_of_val(data) as u64;
         let data = data.to_vec();
-        self.taskify("allreduce", bytes, move || raw.allreduce(&data, op))
+        self.ctx
+            .taskify("allreduce", bytes, move || raw.allreduce(&data, op))
     }
 
     /// `MPI_Bcast`: taskified.
@@ -142,7 +104,8 @@ impl MpiModule {
         let raw = Arc::clone(&self.raw);
         let bytes = std::mem::size_of_val(data) as u64;
         let data = data.to_vec();
-        self.taskify("bcast", bytes, move || raw.bcast_vec(root, &data))
+        self.ctx
+            .taskify("bcast", bytes, move || raw.bcast_vec(root, &data))
     }
 
     /// `MPI_Alltoallv`: taskified.
@@ -152,7 +115,8 @@ impl MpiModule {
             .iter()
             .map(|p| std::mem::size_of_val(&p[..]) as u64)
             .sum();
-        self.taskify("alltoallv", bytes, move || raw.alltoallv_vec(parts))
+        self.ctx
+            .taskify("alltoallv", bytes, move || raw.alltoallv_vec(parts))
     }
 
     // ------------------------------------------------------------------
@@ -168,14 +132,12 @@ impl MpiModule {
 
     /// Byte-level `MPI_Isend`.
     pub fn isend_bytes(&self, dst: Rank, tag: u64, payload: Bytes) -> Future<()> {
-        let rt = self.with_state(|s| s.rt.clone());
-        let _t = rt
-            .module_stats()
-            .time_op("mpi", "isend", payload.len() as u64);
-        // Step 1: call the asynchronous API directly, producing a request.
-        let req = self.raw.isend(dst, tag, payload);
-        // Steps 2-4: pending list + polling task + returned future.
-        self.future_of(req, |_status| ())
+        self.ctx.time_op("isend", payload.len() as u64, |b| {
+            // Step 1: call the asynchronous API directly, producing a request.
+            let req = self.raw.isend(dst, tag, payload);
+            // Steps 2-4: pending list + polling task + returned future.
+            b.poll_future(move || req.try_status().map(|_| ()))
+        })
     }
 
     /// `MPI_Isend` predicated on a dependency (the paper's
@@ -187,22 +149,16 @@ impl MpiModule {
         data: impl Fn() -> Vec<T> + Send + Sync + 'static,
         dep: &Future<()>,
     ) -> Future<()> {
-        let promise = Promise::new();
-        let fut = promise.future();
-        let this = self.with_state(|s| (s.rt.clone(), s.interconnect));
-        let (rt, interconnect) = this;
-        let raw = Arc::clone(&self.raw);
-        let promise = parking_lot::Mutex::new(Some(promise));
-        dep.on_ready(move || {
-            let raw = Arc::clone(&raw);
-            let payload = hiper_netsim::pod::to_bytes(&data());
-            let p = promise.lock().take().expect("dependency fired twice");
-            rt.spawn_at(interconnect, move || {
-                raw.send(dst, tag, payload);
-                p.put(());
+        self.ctx.time_op("isend_await", 0, |b| {
+            let raw = Arc::clone(&self.raw);
+            let promise = Promise::new();
+            let fut = promise.future();
+            b.rt.spawn_await_at(b.place, dep, move || {
+                raw.send(dst, tag, hiper_netsim::pod::to_bytes(&data()));
+                promise.put(());
             });
-        });
-        fut
+            fut
+        })
     }
 
     /// `MPI_Irecv` returning a future on the received data (request
@@ -212,44 +168,21 @@ impl MpiModule {
         src: Option<Rank>,
         tag: Option<u64>,
     ) -> Future<(Vec<T>, Rank, u64)> {
-        let rt = self.with_state(|s| s.rt.clone());
-        let _t = rt.module_stats().time_op("mpi", "irecv", 0);
-        let req = self.raw.irecv(src, tag);
-        self.future_of(req, |status| {
-            (from_bytes::<T>(&status.data), status.src, status.tag)
+        self.ctx.time_op("irecv", 0, |b| {
+            let req = self.raw.irecv(src, tag);
+            b.poll_future(move || {
+                let status = req.try_status()?;
+                Some((from_bytes::<T>(&status.data), status.src, status.tag))
+            })
         })
     }
 
     /// Byte-level `MPI_Irecv`.
     pub fn irecv_bytes(&self, src: Option<Rank>, tag: Option<u64>) -> Future<RecvStatus> {
-        let req = self.raw.irecv(src, tag);
-        self.future_of(req, |status| status)
-    }
-
-    /// Wraps a raw request in a future satisfied by the polling task.
-    fn future_of<T: Send + 'static>(
-        &self,
-        req: Request,
-        map: impl FnOnce(RecvStatus) -> T + Send + 'static,
-    ) -> Future<T> {
-        let promise = Promise::new();
-        let fut = promise.future();
-        self.with_state(|state| {
-            let mut slot = Some((promise, map));
-            state.poller.submit(
-                &state.rt,
-                Box::new(move || {
-                    if req.test() {
-                        let (promise, map) = slot.take().expect("poll after completion");
-                        promise.put(map(req.try_status().expect("tested complete")));
-                        true
-                    } else {
-                        false
-                    }
-                }),
-            );
-        });
-        fut
+        self.ctx.time_op("irecv", 0, |b| {
+            let req = self.raw.irecv(src, tag);
+            b.poll_future(move || req.try_status())
+        })
     }
 }
 
@@ -259,24 +192,15 @@ impl SchedulerModule for MpiModule {
     }
 
     fn initialize(&self, rt: &Runtime) -> Result<(), ModuleError> {
-        // Platform assertion (§II-C1): a single Interconnect place must
-        // exist; all library calls are funneled through tasks placed there.
-        let interconnect = rt.place_of_kind(&PlaceKind::Interconnect).ok_or_else(|| {
-            ModuleError::new("mpi", "platform model contains no Interconnect place")
-        })?;
-        let poller = Poller::new("mpi-poll", interconnect);
-        *self.state.write() = Some(ModuleState {
-            rt: rt.clone(),
-            interconnect,
-            poller,
-        });
+        // Platform assertion (§II-C1): all library calls are funneled
+        // through tasks at the Interconnect place.
+        let interconnect = self.ctx.find_place(rt, &[PlaceKind::Interconnect])?;
+        self.ctx.bind(rt, interconnect, ());
         Ok(())
     }
 
     fn finalize(&self, _rt: &Runtime) {
-        // Drop the stored runtime handle to break the module<->runtime Arc
-        // cycle.
-        *self.state.write() = None;
+        self.ctx.unbind();
     }
 }
 

@@ -286,6 +286,80 @@ fn module_stats_record_mpi_time() {
 }
 
 #[test]
+fn every_entry_point_records_exactly_one_mpi_call() {
+    let results = with_mpi(2, 2, |env, mpi| {
+        let calls = || {
+            let snap = env.runtime.module_stats().snapshot();
+            snap.iter()
+                .find(|(name, _, _)| name == "mpi")
+                .map_or(0, |(_, calls, _)| *calls)
+        };
+        let mut deltas: Vec<(&str, u64)> = Vec::new();
+        let mut once = |op: &'static str, f: &mut dyn FnMut()| {
+            let before = calls();
+            f();
+            deltas.push((op, calls() - before));
+        };
+        let (me, peer) = (env.rank, 1 - env.rank);
+        once("barrier", &mut || mpi.barrier());
+        once("allreduce", &mut || {
+            mpi.allreduce(&[1u64], ReduceOp::Sum);
+        });
+        once("bcast", &mut || {
+            mpi.bcast(0, &[7u32]);
+        });
+        once("alltoallv", &mut || {
+            mpi.alltoallv(vec![vec![1u8], vec![2u8]]);
+        });
+        let mut waits = Vec::new();
+        if me == 0 {
+            once("send", &mut || mpi.send(peer, 1, &[1u8]));
+            once("isend", &mut || waits.push(mpi.isend(peer, 2, &[2u8])));
+            let payload = bytes::Bytes::from_static(&[3]);
+            once("isend_bytes", &mut || {
+                waits.push(mpi.isend_bytes(peer, 3, payload.clone()))
+            });
+            let dep = hiper_runtime::Promise::new();
+            let ready = dep.future();
+            once("isend_await", &mut || {
+                waits.push(mpi.isend_await(peer, 4, || vec![4u8], &ready))
+            });
+            dep.put(());
+        } else {
+            once("recv", &mut || {
+                mpi.recv::<u8>(Some(peer), Some(1));
+            });
+            let mut typed = None;
+            once("irecv", &mut || {
+                typed = Some(mpi.irecv::<u8>(Some(peer), Some(2)))
+            });
+            let mut raw = Vec::new();
+            for tag in [3, 4] {
+                once("irecv_bytes", &mut || {
+                    raw.push(mpi.irecv_bytes(Some(peer), Some(tag)))
+                });
+            }
+            assert_eq!(typed.expect("posted").get().0, vec![2u8]);
+            let got: Vec<Vec<u8>> = raw.iter().map(|f| f.get().data.to_vec()).collect();
+            assert_eq!(got, vec![vec![3u8], vec![4u8]]);
+        }
+        for w in waits {
+            w.wait();
+        }
+        deltas
+    });
+    for (rank, deltas) in results.iter().enumerate() {
+        for (op, delta) in deltas {
+            assert_eq!(
+                *delta, 1,
+                "rank {} `{}` recorded {} mpi calls",
+                rank, op, delta
+            );
+        }
+    }
+}
+
+#[test]
 fn many_ranks_ring() {
     // Each rank sends to (rank+1) % n and receives from (rank-1) % n.
     let n = 8;

@@ -213,10 +213,6 @@ pub type RankListener = Box<dyn Fn(RankEvent) + Send + Sync>;
 /// out a full backoff tick against a dead wire.
 pub type StopHook = Box<dyn Fn() + Send + Sync>;
 
-/// Debug marker for the delivery currently running: `(src, dst, channel,
-/// seq-ish tag, started)`. Populated only under `HIPER_SUPERVISE_DEBUG`.
-type DeliveryMark = (Rank, Rank, u8, u64, std::time::Instant);
-
 struct InFlight {
     /// Delivery deadline, ns on the shared trace clock.
     due: u64,
@@ -431,7 +427,6 @@ pub struct DeliveryEngine {
     /// `set_rank_down` waits on it so that once the call returns, no
     /// handler for the dead rank is still mid-delivery.
     delivering: AtomicU64,
-    dbg_delivery: Mutex<Option<DeliveryMark>>,
     rank_listeners: Mutex<Vec<RankListener>>,
     stop_hooks: Mutex<Vec<StopHook>>,
     pub stats: NetStats,
@@ -478,7 +473,6 @@ impl DeliveryEngine {
             down: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             paused: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             delivering: AtomicU64::new(0),
-            dbg_delivery: Mutex::new(None),
             rank_listeners: Mutex::new(Vec::new()),
             stop_hooks: Mutex::new(Vec::new()),
             stats: NetStats::default(),
@@ -490,26 +484,6 @@ impl DeliveryEngine {
             .spawn(move || engine2.run())
             .expect("failed to spawn delivery engine");
         *engine.thread.lock() = Some(handle);
-        if crate::supervise::debug_enabled() {
-            let weak = Arc::downgrade(&engine);
-            std::thread::spawn(move || loop {
-                std::thread::sleep(std::time::Duration::from_millis(500));
-                let Some(e) = weak.upgrade() else { return };
-                let snap = *e.dbg_delivery.lock();
-                if let Some((src, dst, chan, tag, t0)) = snap {
-                    if t0.elapsed() > std::time::Duration::from_secs(1) {
-                        eprintln!(
-                            "[engine] STUCK delivery src={} dst={} chan={} tag={:#x} for {:?}",
-                            src,
-                            dst,
-                            chan,
-                            tag,
-                            t0.elapsed()
-                        );
-                    }
-                }
-            });
-        }
         engine
     }
 
@@ -595,13 +569,8 @@ impl DeliveryEngine {
     /// [`set_rank_down`]: DeliveryEngine::set_rank_down
     pub fn pause_rank(&self, rank: Rank) {
         if !self.paused[rank].swap(true, Ordering::SeqCst) {
-            let mut spins = 0u64;
             while self.delivering.load(Ordering::SeqCst) == rank as u64 + 1 {
                 std::hint::spin_loop();
-                spins += 1;
-                if spins == 100_000_000 && crate::supervise::debug_enabled() {
-                    eprintln!("[engine] pause_rank({rank}) stuck: delivery marker never clears");
-                }
             }
         }
     }
@@ -810,24 +779,6 @@ impl DeliveryEngine {
     /// Counts and traces a fault-injected loss (`cause`: 1 = random drop,
     /// 2 = partition/kill window, 3 = handler panic).
     fn drop_msg(&self, msg: &Message, cause: u64) {
-        if crate::supervise::debug_enabled() {
-            eprintln!(
-                "[engine] drop src={} dst={} chan={} tag={:#x} cause={} down=[{}] paused=[{}]",
-                msg.src,
-                msg.dst,
-                msg.channel.0,
-                msg.tag,
-                cause,
-                self.down
-                    .iter()
-                    .map(|d| if d.load(Ordering::Relaxed) { '1' } else { '0' })
-                    .collect::<String>(),
-                self.paused
-                    .iter()
-                    .map(|d| if d.load(Ordering::Relaxed) { '1' } else { '0' })
-                    .collect::<String>(),
-            );
-        }
         self.stats.dropped.fetch_add(1, Ordering::Relaxed);
         if hiper_trace::enabled() {
             hiper_trace::emit(
@@ -1036,11 +987,6 @@ impl DeliveryEngine {
                     // causal parent.
                     let span = msg.span;
                     let prev_span = hiper_trace::set_current_task(span);
-                    let dbg = crate::supervise::debug_enabled();
-                    if dbg {
-                        *self.dbg_delivery.lock() =
-                            Some((info.0, info.1, info.2 .0, info.3, std::time::Instant::now()));
-                    }
                     // Stamp the modeled deadline so layered protocols can
                     // timestamp logical sub-messages they unpack.
                     msg.due_ns = due;
@@ -1050,9 +996,6 @@ impl DeliveryEngine {
                     // stale `dst + 1` from the *last* delivery would spin
                     // them forever once the queue drains idle.
                     self.delivering.store(0, Ordering::SeqCst);
-                    if dbg {
-                        *self.dbg_delivery.lock() = None;
-                    }
                     hiper_trace::set_current_task(prev_span);
                     if result.is_err() {
                         let (src, dst, channel, tag, wire) = info;

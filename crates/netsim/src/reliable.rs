@@ -29,10 +29,9 @@
 //!   triggers an immediate standalone ACK. The receiver owes an ack and
 //!   either piggybacks the cumulative ack on the next reverse-direction
 //!   DATA/JUMBO frame, flushes a standalone ACK once
-//!   [`ack_threshold`](ReliableTransport) frames are owed, or lets the
-//!   retry thread flush it after a short delay (`HIPER_NET_ACK_DELAY_US`,
-//!   default 100 µs — far below the 2 ms retransmit timeout, so delaying
-//!   never provokes spurious retransmits).
+//!   16 frames are owed, or lets the retry thread flush it after 100 µs —
+//!   far below the 2 ms retransmit timeout, so delaying never provokes
+//!   spurious retransmits.
 //! * **Send coalescing.** Small frames sent while earlier traffic to the
 //!   same peer is still unacked are *staged* and flushed as one JUMBO
 //!   frame per channel (by size/count threshold, flush deadline, or when
@@ -134,43 +133,32 @@ impl Default for RetryConfig {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Delay before an owed ack is flushed standalone.
+const ACK_DELAY: Duration = Duration::from_micros(100);
+/// Owed-ack count that forces an immediate standalone flush.
+const ACK_THRESHOLD: u32 = 16;
 
-/// Send-coalescing (Nagle) thresholds. Defaults come from the
-/// `HIPER_NET_COALESCE*` env knobs (README "Message-path tuning");
-/// [`ReliableTransport::set_coalesce`] overrides them programmatically —
-/// tests use the setter, because env vars race across parallel test
-/// threads in one binary.
+/// Send-coalescing (Nagle) thresholds; [`ReliableTransport::set_coalesce`]
+/// overrides the defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct CoalesceConfig {
-    /// Master switch (`HIPER_NET_COALESCE=0` disables).
-    pub enabled: bool,
-    /// Only frames with payloads at most this large are staged
-    /// (`HIPER_NET_COALESCE_MAX`).
+    /// Only frames with payloads at most this large are staged (512 B).
     pub max_payload: usize,
-    /// Flush the stage once it holds this many payload bytes
-    /// (`HIPER_NET_COALESCE_BYTES`).
+    /// Flush the stage once it holds this many payload bytes (4 KiB).
     pub flush_bytes: usize,
-    /// Flush the stage once it holds this many frames
-    /// (`HIPER_NET_COALESCE_FRAMES`).
+    /// Flush the stage once it holds this many frames (16).
     pub flush_frames: usize,
-    /// Flush deadline for a non-full stage (`HIPER_NET_COALESCE_DELAY_US`).
+    /// Flush deadline for a non-full stage (100 µs).
     pub delay: Duration,
 }
 
 impl Default for CoalesceConfig {
     fn default() -> CoalesceConfig {
         CoalesceConfig {
-            enabled: std::env::var("HIPER_NET_COALESCE").map_or(true, |v| v != "0"),
-            max_payload: env_u64("HIPER_NET_COALESCE_MAX", 512) as usize,
-            flush_bytes: env_u64("HIPER_NET_COALESCE_BYTES", 4096) as usize,
-            flush_frames: env_u64("HIPER_NET_COALESCE_FRAMES", 16) as usize,
-            delay: Duration::from_micros(env_u64("HIPER_NET_COALESCE_DELAY_US", 100)),
+            max_payload: 512,
+            flush_bytes: 4096,
+            flush_frames: 16,
+            delay: Duration::from_micros(100),
         }
     }
 }
@@ -373,11 +361,9 @@ pub struct ReliableTransport {
     module: &'static str,
     cfg: RetryConfig,
     enabled: bool,
-    /// Delay before a standalone ack flush (`HIPER_NET_ACK_DELAY_US`).
+    /// Delay before a standalone ack flush ([`ACK_DELAY`]; tests shorten
+    /// or stretch it).
     ack_delay: Duration,
-    /// Owed-ack count that forces an immediate standalone flush
-    /// (`HIPER_NET_ACK_THRESHOLD`).
-    ack_threshold: u32,
     /// Retain acked frames for restart replay (supervised runs).
     retention: AtomicBool,
     state: Mutex<State>,
@@ -419,8 +405,7 @@ impl ReliableTransport {
             module,
             cfg,
             enabled,
-            ack_delay: Duration::from_micros(env_u64("HIPER_NET_ACK_DELAY_US", 100)),
-            ack_threshold: env_u64("HIPER_NET_ACK_THRESHOLD", 16) as u32,
+            ack_delay: ACK_DELAY,
             retention: AtomicBool::new(false),
             state: Mutex::new(State {
                 my_epoch: 0,
@@ -584,8 +569,8 @@ impl ReliableTransport {
         }
     }
 
-    /// Overrides the send-coalescing thresholds (tests; the env knobs set
-    /// the process-wide default).
+    /// Overrides the send-coalescing thresholds (tests stage aggressively
+    /// with it).
     pub fn set_coalesce(&self, cfg: CoalesceConfig) {
         self.state.lock().coalesce = cfg;
     }
@@ -881,7 +866,7 @@ impl ReliableTransport {
             let outs = if peer.quiesced {
                 // Queue silently; the release retransmits from the head.
                 Vec::new()
-            } else if co.enabled && busy && payload.len() <= co.max_payload {
+            } else if busy && payload.len() <= co.max_payload {
                 peer.staged.push(seq);
                 peer.staged_bytes += SUB_OVERHEAD + payload.len();
                 if peer.staged.len() >= co.flush_frames || peer.staged_bytes >= co.flush_bytes {
@@ -1082,7 +1067,7 @@ impl ReliableTransport {
         let my_epoch = st.my_epoch;
         let peer = &mut st.peers[src];
         peer.ack_owed = peer.ack_owed.saturating_add(count);
-        if peer.ack_owed >= self.ack_threshold {
+        if peer.ack_owed >= ACK_THRESHOLD {
             let (data_epoch, cum) = peer.take_ack().expect("owed > 0");
             self.acks_flushed.fetch_add(1, Ordering::Relaxed);
             vec![Out {
@@ -1121,30 +1106,10 @@ impl ReliableTransport {
             // Ack from a dead incarnation: its cum refers to receive state
             // that was rolled back. Applying it would falsely retire
             // frames the restored peer still needs.
-            if crate::supervise::debug_enabled() {
-                eprintln!(
-                    "[rel r{}] drop stale ACK src={} acker_epoch={} known={} cum={}",
-                    self.transport.rank(),
-                    src,
-                    acker_epoch,
-                    known,
-                    cum
-                );
-            }
             return (Vec::new(), Vec::new());
         }
         if data_epoch != st.my_epoch {
             // Acks our own previous incarnation's space.
-            if crate::supervise::debug_enabled() {
-                eprintln!(
-                    "[rel r{}] drop old-space ACK src={} data_epoch={} my_epoch={} cum={}",
-                    self.transport.rank(),
-                    src,
-                    data_epoch,
-                    st.my_epoch,
-                    cum,
-                );
-            }
             return (Vec::new(), Vec::new());
         }
         let epoch_advance = acker_epoch > known;
@@ -1221,15 +1186,6 @@ impl ReliableTransport {
                 let (deliverable, outs, burst, burst_epoch) = {
                     let mut st = self.state.lock();
                     if !Self::observe_epoch(&mut st, src, epoch_field, self.module) {
-                        if crate::supervise::debug_enabled() {
-                            eprintln!(
-                                "[rel r{}] drop stale DATA src={} epoch={} seq={}",
-                                self.transport.rank(),
-                                src,
-                                epoch_field,
-                                seq
-                            );
-                        }
                         return;
                     }
                     let stripped = Message {
@@ -1611,17 +1567,6 @@ fn flusher_pass(me: &ReliableTransport) {
         }
         let (&seq, (channel, tag, payload, span)) =
             peer.unacked.iter().next().expect("deadline without frame");
-        if peer.head_attempts < 3 && crate::supervise::debug_enabled() {
-            eprintln!(
-                "[rel r{}] retransmit dst={} seq={} attempt={} chan={} tag={:#x}",
-                me.transport.rank(),
-                dst,
-                seq,
-                peer.head_attempts + 1,
-                channel.0,
-                tag,
-            );
-        }
         peer.head_attempts += 1;
         peer.head_timeout = Duration::from_secs_f64(
             (peer.head_timeout.as_secs_f64() * me.cfg.backoff)
@@ -1642,20 +1587,6 @@ fn flusher_pass(me: &ReliableTransport) {
     }
     st.peers = peers;
     if let Some((dst, attempts)) = newly_dead {
-        if crate::supervise::debug_enabled() {
-            let p = &st.peers[dst];
-            eprintln!(
-                "[rel r{}] dst {} dead: head_seq={:?} unacked={} log={} my_epoch={} peer_epoch={} next_deliver={}",
-                me.transport.rank(),
-                dst,
-                p.unacked.keys().next(),
-                p.unacked.len(),
-                p.log.len(),
-                my_epoch,
-                p.epoch,
-                p.next_deliver,
-            );
-        }
         let err = ModuleError::unreachable(me.module, dst, attempts);
         eprintln!("[hiper-netsim] {}", err);
         if st.error.is_none() {

@@ -55,15 +55,6 @@ use crate::engine::{DeliveryEngine, RankEvent};
 use crate::message::Rank;
 use crate::reliable::ReliableTransport;
 
-/// True when `HIPER_SUPERVISE_DEBUG` is set: the supervise harness, the
-/// reliable transports, and the delivery engine narrate recovery-relevant
-/// events (severing, epoch restarts, retransmits, drops, stale-frame
-/// discards) to stderr. Checked once per process.
-pub fn debug_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("HIPER_SUPERVISE_DEBUG").is_some())
-}
-
 /// splitmix64 finalizer (same mixer as [`FaultPlan`](crate::FaultPlan)).
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -193,9 +184,7 @@ impl SupervisorHarness {
                 // meanwhile are rolled back at the peers by the watermark
                 // reset and regenerated by replay.)
                 if let Some(ep) = self.endpoints.lock()[rank].clone() {
-                    if !ep.flush(Duration::from_secs(2)) && debug_enabled() {
-                        eprintln!("[supervise r{rank}] crash flush timed out");
-                    }
+                    ep.flush(Duration::from_secs(2));
                 }
                 // resume_unwind skips the panic hook: this is a simulated
                 // failure, not a bug worth a backtrace.
@@ -304,19 +293,12 @@ impl SupervisedCtx {
     /// ([`ReliableTransport::checkpoint_mark`]) so their retention logs can
     /// shed frames the snapshot covers.
     pub fn checkpoint(&self, app_state: impl FnOnce() -> Vec<u8>) {
-        let dbg = debug_enabled();
         let engine = self.harness.engine();
         let ep = self.harness.endpoint(self.rank);
         engine.pause_rank(self.rank);
-        if dbg {
-            eprintln!("[supervise r{}] ckpt cut: paused", self.rank);
-        }
         let wms = ep.recv_watermarks();
         let app = app_state();
         engine.unpause_rank(self.rank);
-        if dbg {
-            eprintln!("[supervise r{}] ckpt cut: unpaused; writing", self.rank);
-        }
 
         let mut image = Vec::with_capacity(8 + wms.len() * 8 + app.len());
         image.extend_from_slice(&(wms.len() as u64).to_le_bytes());
@@ -327,9 +309,6 @@ impl SupervisedCtx {
 
         let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
         self.ckpt.checkpoint(&self.name, version, image).wait();
-        if dbg {
-            eprintln!("[supervise r{}] ckpt v{} durable", self.rank, version);
-        }
         // Only after the write is durable may peers GC their retention
         // logs: an earlier mark could shed frames the next restore needs.
         ep.checkpoint_mark(&wms);
@@ -364,10 +343,6 @@ impl SupervisedCtx {
     /// missing/corrupt snapshot or an open circuit breaker the rank is left
     /// severed (degradation: peers' budgets exhaust into `Unreachable`).
     fn recover(&self, restore: &mut dyn FnMut(&[u8])) -> Result<(), RecoveryError> {
-        let dbg = crate::supervise::debug_enabled();
-        macro_rules! dlog {
-            ($($a:tt)*) => { if dbg { eprintln!($($a)*); } }
-        }
         let rank = self.rank;
         let sup = self.harness.supervisor();
         let engine = self.harness.engine();
@@ -385,12 +360,10 @@ impl SupervisedCtx {
 
         // Sever the rank (emits the RankDown trace event and notifies
         // listeners) and hold every peer's retransmits toward it.
-        dlog!("[supervise r{}] sever+quiesce", rank);
         engine.set_rank_down(rank, true);
         self.harness.quiesce_peers(rank, true);
 
         sup.advance(rank as u32, RecoveryPhase::Restoring);
-        dlog!("[supervise r{}] restoring", rank);
         let restored = self
             .ckpt
             .restore_latest(&self.name)
@@ -428,12 +401,6 @@ impl SupervisedCtx {
         // toward the victim is continuous, so frames below the restored
         // watermark are acked-and-dropped as duplicates and frames at or
         // above it deliver in order.
-        dlog!(
-            "[supervise r{}] restored v{} ({} bytes); restarting epoch",
-            rank,
-            version,
-            image.len()
-        );
         let ep = self.harness.endpoint(rank);
         // The revive event names the incarnation peers are about to meet;
         // restart() below bumps the epoch by exactly one.
@@ -442,7 +409,6 @@ impl SupervisedCtx {
         let epoch = ep.restart(&wms);
         debug_assert_eq!(epoch, new_epoch);
         self.harness.quiesce_peers(rank, false);
-        dlog!("[supervise r{}] epoch now {}; replaying", rank, epoch);
 
         sup.advance(rank as u32, RecoveryPhase::Replaying);
         self.harness

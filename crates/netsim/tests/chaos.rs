@@ -165,7 +165,6 @@ proptest! {
         let receiver = ReliableTransport::new(cluster.transport(1), "test", RetryConfig::default());
         // Aggressive staging so most frames travel inside jumbos.
         sender.set_coalesce(CoalesceConfig {
-            enabled: true,
             max_payload: 512,
             flush_bytes: 1 << 16,
             flush_frames: 8,

@@ -44,7 +44,7 @@ mod forasync;
 
 pub use copy::{CopyHandler, CopyRegistry, CopyRequest, HostBuffer, MemLoc};
 pub use event::{Wake, WakeHub};
-pub use module::{ModuleError, PollFn, Poller, SchedulerModule};
+pub use module::{Binding, ModuleCtx, ModuleError, PollFn, Poller, SchedulerModule};
 pub use promise::{when_all, Future, Promise, TaskError};
 pub use runtime::{Runtime, RuntimeBuilder};
 pub use stats::{ModuleStats, SchedStats, SchedStatsSnapshot};

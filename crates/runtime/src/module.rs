@@ -9,18 +9,20 @@
 //! and internally place tasks at special-purpose places in the platform
 //! model, so *all* work is scheduled by one unified runtime.
 //!
-//! This module also provides [`Poller`], the reusable implementation of the
-//! periodically-polling asynchronous task pattern used by the MPI and CUDA
-//! modules (paper §II-C1 steps 1–4): pending operations are swept by a
-//! singleton task that yields between sweeps.
+//! A module reaches the runtime through one [`ModuleCtx`]: it binds to the
+//! module's place, funnels calls there (taskify), times ops under the
+//! module's name and turns polled completions into promises through a
+//! [`Poller`], the polling-task pattern of paper §II-C1 steps 1–4 (a
+//! singleton task sweeps pending operations, yielding between sweeps).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hiper_platform::PlaceId;
-use parking_lot::Mutex;
+use hiper_platform::{PlaceId, PlaceKind};
+use parking_lot::{Mutex, RwLock};
 
+use crate::promise::{Future, Promise};
 use crate::runtime::Runtime;
 
 /// Error raised by a pluggable module.
@@ -133,6 +135,127 @@ pub trait SchedulerModule: Send + Sync {
     /// Optional: register special-purpose handlers (e.g. the CUDA module
     /// registers itself for copies touching GPU places, paper §II-C3).
     fn register_copy_handlers(&self, _rt: &Runtime) {}
+}
+
+/// A module's one handle to the runtime. Bound at
+/// [`SchedulerModule::initialize`] to the module's place, with any
+/// module-specific state `S`; unbound at [`SchedulerModule::finalize`], which
+/// breaks the module↔runtime `Arc` cycle and hands `S` back.
+pub struct ModuleCtx<S = ()> {
+    name: &'static str,
+    poller_name: &'static str,
+    binding: RwLock<Option<Binding<S>>>,
+}
+
+/// What a bound [`ModuleCtx`] holds.
+pub struct Binding<S> {
+    /// The runtime the module is bound to.
+    pub rt: Runtime,
+    /// The place the module's calls are funnelled to.
+    pub place: PlaceId,
+    /// Module-specific state.
+    pub state: S,
+    poller: Arc<Poller>,
+}
+
+impl<S> ModuleCtx<S> {
+    /// An unbound context for module `name` (its stats name) whose
+    /// completion poller runs under `poller_name`.
+    pub fn new(name: &'static str, poller_name: &'static str) -> ModuleCtx<S> {
+        ModuleCtx {
+            name,
+            poller_name,
+            binding: RwLock::new(None),
+        }
+    }
+
+    /// The first place of the first of `kinds` the platform model has, or
+    /// [`ModuleError::Init`] naming the module.
+    pub fn find_place(&self, rt: &Runtime, kinds: &[PlaceKind]) -> Result<PlaceId, ModuleError> {
+        let found = kinds.iter().find_map(|k| rt.place_of_kind(k));
+        let kinds: Vec<String> = kinds.iter().map(|k| format!("{:?}", k)).collect();
+        let msg = || format!("platform model contains no {} place", kinds.join(" or "));
+        found.ok_or_else(|| ModuleError::new(self.name, msg()))
+    }
+
+    /// Binds to `rt` at `place`, carrying `state`.
+    pub fn bind(&self, rt: &Runtime, place: PlaceId, state: S) {
+        let (rt, poller) = (rt.clone(), Poller::new(self.poller_name, place));
+        *self.binding.write() = Some(Binding {
+            rt,
+            place,
+            state,
+            poller,
+        });
+    }
+
+    /// Drops the runtime handle and returns the state (`None` if unbound).
+    pub fn unbind(&self) -> Option<S> {
+        self.binding.write().take().map(|b| b.state)
+    }
+
+    /// Runs `f` on the binding, or returns `None` when unbound.
+    pub fn try_with<R>(&self, f: impl FnOnce(&Binding<S>) -> R) -> Option<R> {
+        self.binding.read().as_ref().map(f)
+    }
+
+    /// Runs `f` on the binding; panics when unbound.
+    pub fn with<R>(&self, f: impl FnOnce(&Binding<S>) -> R) -> R {
+        let unbound = || panic!("{} module used before runtime initialization", self.name);
+        self.try_with(f).unwrap_or_else(unbound)
+    }
+
+    /// Runs `f` as one op `op` of `bytes` in the module's stats and trace.
+    pub fn time_op<R>(&self, op: &'static str, bytes: u64, f: impl FnOnce(&Binding<S>) -> R) -> R {
+        self.with(|b| {
+            let _t = b.rt.module_stats().time_op(self.name, op, bytes);
+            f(b)
+        })
+    }
+
+    /// Taskify (§II-C1): runs `f` as a task at the module's place and
+    /// blocks the calling task (help-first) until it returns; timed as `op`.
+    pub fn taskify<R, F>(&self, op: &'static str, bytes: u64, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
+        self.time_op(op, bytes, |b| {
+            let slot = Arc::new(Mutex::new(None));
+            let out = Arc::clone(&slot);
+            let fut =
+                b.rt.spawn_future_at(b.place, move || *out.lock() = Some(f()));
+            fut.wait();
+            let result = slot.lock().take();
+            result.expect("taskified call produced no value")
+        })
+    }
+}
+
+impl<S> Binding<S> {
+    /// Puts the first `Some` that `poll` returns into `promise`, polled by
+    /// the module's [`Poller`] at its place (§II-C1 steps 2–4).
+    pub fn complete_when<T: Send + 'static>(
+        &self,
+        promise: Promise<T>,
+        mut poll: impl FnMut() -> Option<T> + Send + 'static,
+    ) {
+        let mut promise = Some(promise);
+        let mut done = move || poll().map(|v| promise.take().expect("polled twice").put(v));
+        self.poller
+            .submit(&self.rt, Box::new(move || done().is_some()));
+    }
+
+    /// A future on the first `Some` that `poll` returns.
+    pub fn poll_future<T: Send + 'static>(
+        &self,
+        poll: impl FnMut() -> Option<T> + Send + 'static,
+    ) -> Future<T> {
+        let promise = Promise::new();
+        let fut = promise.future();
+        self.complete_when(promise, poll);
+        fut
+    }
 }
 
 /// One pending asynchronous operation: returns `true` once complete (at

@@ -217,7 +217,12 @@ impl RuntimeBuilder {
         crate::copy::register_default_handlers(&rt);
 
         for module in self.modules {
-            module.initialize(&rt)?;
+            if let Err(e) = module.initialize(&rt) {
+                // Finalize the modules already up and join the workers: a
+                // failed build leaves no thread behind.
+                rt.shutdown();
+                return Err(e);
+            }
             module.register_copy_handlers(&rt);
             rt.inner.modules.write().push(module);
         }

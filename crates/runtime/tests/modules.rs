@@ -1,6 +1,7 @@
 //! Tests for the pluggable-module machinery: lifecycle hooks, platform
 //! assertions at initialization, copy-handler registration, per-module
-//! statistics and the shared polling task.
+//! statistics, the shared polling task and the `ModuleCtx` every module
+//! binds through.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -8,7 +9,7 @@ use std::time::Duration;
 
 use hiper_platform::{autogen, PlaceKind};
 use hiper_runtime::{
-    CopyHandler, ModuleError, Poller, Promise, Runtime, RuntimeBuilder, SchedulerModule,
+    CopyHandler, ModuleCtx, ModuleError, Poller, Promise, Runtime, RuntimeBuilder, SchedulerModule,
 };
 
 #[derive(Default)]
@@ -74,6 +75,26 @@ fn module_platform_assertion_fails_build() {
             panic!("build should fail when the platform assertion fails");
         }
     }
+}
+
+#[test]
+fn failed_build_finalizes_the_modules_already_initialized() {
+    let first = Arc::new(ProbeModule::default());
+    let failing = Arc::new(ProbeModule {
+        require_gpu: true,
+        ..Default::default()
+    });
+    let result = RuntimeBuilder::new(autogen::smp(2))
+        .module(Arc::clone(&first) as Arc<dyn SchedulerModule>)
+        .module(Arc::clone(&failing) as Arc<dyn SchedulerModule>)
+        .build();
+    assert!(result.is_err());
+    assert!(first.initialized.load(Ordering::SeqCst));
+    assert!(
+        first.finalized.load(Ordering::SeqCst),
+        "first module left bound"
+    );
+    assert!(!failing.initialized.load(Ordering::SeqCst));
 }
 
 #[test]
@@ -245,4 +266,100 @@ fn missing_copy_handler_panics() {
         home,
         4,
     );
+}
+
+fn calls_of(rt: &Runtime, module: &str) -> u64 {
+    let snap = rt.module_stats().snapshot();
+    snap.iter()
+        .find(|(n, _, _)| n == module)
+        .map_or(0, |(_, calls, _)| *calls)
+}
+
+#[test]
+fn ctx_taskify_returns_its_value_at_the_bound_place() {
+    let rt = Runtime::new(autogen::smp(2));
+    let place = rt.here();
+    let ctx: ModuleCtx = ModuleCtx::new("ctx-probe", "ctx-probe-poll");
+    ctx.bind(&rt, place, ());
+    // Called from a thread that is not a worker: the closure can only run
+    // as a task on one of the runtime's workers.
+    let (value, ran_at, on_worker) = ctx.taskify("probe", 8, || {
+        let cur = Runtime::current().expect("taskified closure runs on a worker");
+        (
+            42,
+            cur.here(),
+            std::thread::current().name().map(str::to_owned),
+        )
+    });
+    assert_eq!(value, 42);
+    assert_eq!(ran_at, place);
+    assert!(on_worker.unwrap_or_default().starts_with("hiper-worker"));
+    ctx.unbind();
+    rt.shutdown();
+}
+
+#[test]
+fn ctx_records_each_op_once_under_the_module_name() {
+    let rt = Runtime::new(autogen::smp(2));
+    let ctx: ModuleCtx = ModuleCtx::new("ctx-stats", "ctx-stats-poll");
+    ctx.bind(&rt, rt.here(), ());
+    assert_eq!(ctx.time_op("op", 3, |b| b.place), rt.here());
+    assert_eq!(calls_of(&rt, "ctx-stats"), 1);
+    ctx.taskify("task", 0, || ());
+    assert_eq!(calls_of(&rt, "ctx-stats"), 2);
+    // The poller's sweeps are timed under the poller's name, not as more
+    // ops of the module.
+    let ready = Arc::new(AtomicBool::new(false));
+    let r2 = Arc::clone(&ready);
+    let fut = ctx.time_op("poll", 0, |b| {
+        b.poll_future(move || r2.load(Ordering::SeqCst).then_some(7u32))
+    });
+    ready.store(true, Ordering::SeqCst);
+    assert_eq!(fut.get(), 7);
+    assert_eq!(calls_of(&rt, "ctx-stats"), 3);
+    ctx.unbind();
+    rt.shutdown();
+}
+
+#[test]
+fn ctx_use_before_binding_panics_with_the_module_name() {
+    let ctx: ModuleCtx = ModuleCtx::new("ctx-unbound", "ctx-unbound-poll");
+    let err = std::panic::catch_unwind(|| ctx.with(|_| ())).unwrap_err();
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert_eq!(msg, "ctx-unbound module used before runtime initialization");
+}
+
+#[test]
+fn ctx_unbind_releases_the_runtime_and_returns_the_state() {
+    let rt = Runtime::new(autogen::smp(1));
+    let ctx: ModuleCtx<Vec<u8>> = ModuleCtx::new("ctx-unbind", "ctx-unbind-poll");
+    assert!(ctx.unbind().is_none(), "nothing bound yet");
+    ctx.bind(&rt, rt.here(), vec![1, 2, 3]);
+    assert_eq!(ctx.try_with(|b| b.state.len()), Some(3));
+    assert_eq!(ctx.unbind(), Some(vec![1, 2, 3]));
+    assert!(
+        ctx.try_with(|_| ()).is_none(),
+        "ctx still holds the runtime"
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn ctx_find_place_names_the_module_and_the_missing_kinds() {
+    let rt = Runtime::new(autogen::smp(1));
+    let ctx: ModuleCtx = ModuleCtx::new("ctx-places", "ctx-places-poll");
+    let net = ctx.find_place(&rt, &[PlaceKind::Interconnect]).unwrap();
+    assert_eq!(Some(net), rt.place_of_kind(&PlaceKind::Interconnect));
+    let first = ctx
+        .find_place(&rt, &[PlaceKind::Nvm, PlaceKind::Interconnect])
+        .unwrap();
+    assert_eq!(first, net, "falls through to the next kind");
+    match ctx.find_place(&rt, &[PlaceKind::LocalDisk, PlaceKind::Nvm]) {
+        Err(e @ ModuleError::Init { .. }) => {
+            assert_eq!(e.module(), "ctx-places");
+            assert!(e.to_string().contains("no LocalDisk or Nvm place"), "{}", e);
+        }
+        other => panic!("expected an Init error, got {:?}", other),
+    }
+    rt.shutdown();
 }

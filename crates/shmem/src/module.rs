@@ -13,9 +13,8 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use hiper_netsim::{Rank, Transport};
-use hiper_platform::{PlaceId, PlaceKind};
-use hiper_runtime::{Future, ModuleError, Promise, Runtime, SchedulerModule};
-use parking_lot::RwLock;
+use hiper_platform::PlaceKind;
+use hiper_runtime::{Future, ModuleCtx, ModuleError, Promise, Runtime, SchedulerModule};
 
 use crate::heap::{SymHeap, SymPtr};
 use crate::raw::{Cmp, RawShmem, ShmemWorld};
@@ -23,12 +22,7 @@ use crate::raw::{Cmp, RawShmem, ShmemWorld};
 /// The HiPER OpenSHMEM module. One instance per rank.
 pub struct ShmemModule {
     raw: Arc<RawShmem>,
-    state: RwLock<Option<ModuleState>>,
-}
-
-struct ModuleState {
-    rt: Runtime,
-    interconnect: PlaceId,
+    ctx: ModuleCtx,
 }
 
 impl ShmemModule {
@@ -36,7 +30,7 @@ impl ShmemModule {
     pub fn new(world: ShmemWorld, transport: Transport) -> Arc<ShmemModule> {
         Arc::new(ShmemModule {
             raw: RawShmem::new(world, transport),
-            state: RwLock::new(None),
+            ctx: ModuleCtx::new("shmem", "shmem-poll"),
         })
     }
 
@@ -70,33 +64,6 @@ impl ShmemModule {
         self.raw.malloc64(n)
     }
 
-    fn with_state<R>(&self, f: impl FnOnce(&ModuleState) -> R) -> R {
-        let guard = self.state.read();
-        let state = guard
-            .as_ref()
-            .expect("SHMEM module used before runtime initialization");
-        f(state)
-    }
-
-    fn taskify<R: Send + 'static>(
-        &self,
-        op: &'static str,
-        bytes: u64,
-        f: impl FnOnce() -> R + Send + 'static,
-    ) -> R {
-        self.with_state(|state| {
-            let _t = state.rt.module_stats().time_op("shmem", op, bytes);
-            let slot = Arc::new(parking_lot::Mutex::new(None));
-            let out = Arc::clone(&slot);
-            let fut = state.rt.spawn_future_at(state.interconnect, move || {
-                *out.lock() = Some(f());
-            });
-            fut.wait();
-            let result = slot.lock().take().expect("taskified call lost its result");
-            result
-        })
-    }
-
     // ------------------------------------------------------------------
     // Taskified standard APIs
     // ------------------------------------------------------------------
@@ -105,20 +72,22 @@ impl ShmemModule {
     pub fn put(&self, target: Rank, offset: usize, data: Vec<u8>) {
         let raw = Arc::clone(&self.raw);
         let bytes = data.len() as u64;
-        self.taskify("put", bytes, move || raw.put(target, offset, &data));
+        self.ctx
+            .taskify("put", bytes, move || raw.put(target, offset, &data));
     }
 
     /// Typed 64-bit put (taskified).
     pub fn put64(&self, target: Rank, offset: usize, values: Vec<u64>) {
         let raw = Arc::clone(&self.raw);
         let bytes = (values.len() * 8) as u64;
-        self.taskify("put64", bytes, move || raw.put64(target, offset, &values));
+        self.ctx
+            .taskify("put64", bytes, move || raw.put64(target, offset, &values));
     }
 
     /// `shmem_getmem` (taskified blocking).
     pub fn get(&self, target: Rank, offset: usize, nbytes: usize) -> Bytes {
         let raw = Arc::clone(&self.raw);
-        self.taskify("get", nbytes as u64, move || {
+        self.ctx.taskify("get", nbytes as u64, move || {
             raw.get(target, offset, nbytes)
         })
     }
@@ -126,13 +95,14 @@ impl ShmemModule {
     /// `shmem_atomic_fetch_add` (taskified blocking).
     pub fn fadd(&self, target: Rank, offset: usize, delta: u64) -> u64 {
         let raw = Arc::clone(&self.raw);
-        self.taskify("fadd", 8, move || raw.fadd(target, offset, delta))
+        self.ctx
+            .taskify("fadd", 8, move || raw.fadd(target, offset, delta))
     }
 
     /// `shmem_atomic_compare_swap` (taskified blocking).
     pub fn cswap(&self, target: Rank, offset: usize, expected: u64, desired: u64) -> u64 {
         let raw = Arc::clone(&self.raw);
-        self.taskify("cswap", 8, move || {
+        self.ctx.taskify("cswap", 8, move || {
             raw.cswap(target, offset, expected, desired)
         })
     }
@@ -140,34 +110,38 @@ impl ShmemModule {
     /// `shmem_quiet` (taskified).
     pub fn quiet(&self) {
         let raw = Arc::clone(&self.raw);
-        self.taskify("quiet", 0, move || raw.quiet());
+        self.ctx.taskify("quiet", 0, move || raw.quiet());
     }
 
     /// `shmem_barrier_all` (taskified).
     pub fn barrier_all(&self) {
         let raw = Arc::clone(&self.raw);
-        self.taskify("barrier_all", 0, move || raw.barrier_all());
+        self.ctx
+            .taskify("barrier_all", 0, move || raw.barrier_all());
     }
 
     /// `shmem_longlong_sum_to_all` (taskified).
     pub fn sum_to_all_u64(&self, mine: Vec<u64>) -> Vec<u64> {
         let raw = Arc::clone(&self.raw);
         let bytes = (mine.len() * 8) as u64;
-        self.taskify("sum_to_all", bytes, move || raw.sum_to_all_u64(&mine))
+        self.ctx
+            .taskify("sum_to_all", bytes, move || raw.sum_to_all_u64(&mine))
     }
 
     /// `shmem_double_sum_to_all` (taskified).
     pub fn sum_to_all_f64(&self, mine: Vec<f64>) -> Vec<f64> {
         let raw = Arc::clone(&self.raw);
         let bytes = (mine.len() * 8) as u64;
-        self.taskify("sum_to_all", bytes, move || raw.sum_to_all_f64(&mine))
+        self.ctx
+            .taskify("sum_to_all", bytes, move || raw.sum_to_all_f64(&mine))
     }
 
     /// Count exchange (taskified `alltoall64`).
     pub fn alltoall64(&self, mine: Vec<u64>) -> Vec<u64> {
         let raw = Arc::clone(&self.raw);
         let bytes = (mine.len() * 8) as u64;
-        self.taskify("alltoall", bytes, move || raw.alltoall64(&mine))
+        self.ctx
+            .taskify("alltoall", bytes, move || raw.alltoall64(&mine))
     }
 
     // ------------------------------------------------------------------
@@ -222,7 +196,7 @@ impl ShmemModule {
         body: impl FnOnce() + Send + 'static,
     ) {
         let fut = self.until_future(offset, cmp, value);
-        self.with_state(|state| state.rt.spawn_await(&fut, body));
+        self.ctx.with(|b| b.rt.spawn_await(&fut, body));
     }
 
     /// `shmem_wait_until`, help-first: blocks the calling *task* (not the
@@ -243,18 +217,13 @@ impl SchedulerModule for ShmemModule {
     }
 
     fn initialize(&self, rt: &Runtime) -> Result<(), ModuleError> {
-        let interconnect = rt.place_of_kind(&PlaceKind::Interconnect).ok_or_else(|| {
-            ModuleError::new("shmem", "platform model contains no Interconnect place")
-        })?;
-        *self.state.write() = Some(ModuleState {
-            rt: rt.clone(),
-            interconnect,
-        });
+        let interconnect = self.ctx.find_place(rt, &[PlaceKind::Interconnect])?;
+        self.ctx.bind(rt, interconnect, ());
         Ok(())
     }
 
     fn finalize(&self, _rt: &Runtime) {
-        *self.state.write() = None;
+        self.ctx.unbind();
     }
 }
 

@@ -24,8 +24,8 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use hiper_netsim::{Channel, Message, Rank, Transport};
-use hiper_platform::{PlaceId, PlaceKind};
-use hiper_runtime::{Future, ModuleError, Promise, Runtime, SchedulerModule};
+use hiper_platform::PlaceKind;
+use hiper_runtime::{Future, ModuleCtx, ModuleError, Promise, Runtime, SchedulerModule};
 use parking_lot::{Mutex, RwLock};
 
 mod op {
@@ -100,11 +100,6 @@ impl UpcxxWorld {
     }
 }
 
-struct ModuleState {
-    rt: Runtime,
-    interconnect: PlaceId,
-}
-
 /// One rank's UPC++ endpoint.
 pub struct UpcxxModule {
     world: UpcxxWorld,
@@ -112,7 +107,7 @@ pub struct UpcxxModule {
     alloc_next: Mutex<usize>,
     next_slot: AtomicU64,
     pending: Mutex<HashMap<u64, RpcCallback>>,
-    state: RwLock<Option<ModuleState>>,
+    ctx: ModuleCtx,
     /// First wire-protocol violation seen by the delivery handler
     /// (truncated frame, unknown opcode, rpc state desync). The frame is
     /// dropped, not panicked on; surfaces via [`health`](UpcxxModule::health).
@@ -129,7 +124,7 @@ impl UpcxxModule {
             alloc_next: Mutex::new(0),
             next_slot: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
-            state: RwLock::new(None),
+            ctx: ModuleCtx::new("upcxx", "upcxx-poll"),
             wire_error: Mutex::new(None),
         });
         let m2 = Arc::clone(&module);
@@ -174,20 +169,6 @@ impl UpcxxModule {
         assert_eq!(ptr.rank, self.rank(), "local access to remote pointer");
         let mut seg = self.world.segments[ptr.rank].write();
         f(&mut seg[ptr.offset..ptr.offset + ptr.len])
-    }
-
-    fn with_state<R>(&self, f: impl FnOnce(&ModuleState) -> R) -> R {
-        let guard = self.state.read();
-        let state = guard
-            .as_ref()
-            .expect("UPC++ module used before runtime initialization");
-        f(state)
-    }
-
-    /// The owning runtime, for the stats/trace span (`module_stats().time_op`,
-    /// paper §V) around each user-facing entry point below.
-    fn runtime(&self) -> Runtime {
-        self.with_state(|s| s.rt.clone())
     }
 
     fn new_slot(&self, cb: RpcCallback) -> u64 {
@@ -270,13 +251,11 @@ impl UpcxxModule {
                 let world = self.world.clone();
                 let transport = self.transport.clone();
                 let caller = msg.src;
-                let me = self.rank();
-                self.with_state(|state| {
-                    state.rt.spawn_at_yield(state.interconnect, move || {
+                self.ctx.with(|b| {
+                    b.rt.spawn_at_yield(b.place, move || {
                         let result = closure();
                         world.results.lock().insert((caller, low), result);
                         transport.send(caller, Channel::UPCXX, tag(op::RPC_REP, low), Bytes::new());
-                        let _ = me;
                     });
                 });
             }
@@ -310,28 +289,26 @@ impl UpcxxModule {
     /// operation completion (target-side visibility).
     pub fn rput(&self, data: &[u8], dst: GlobalPtr) -> Future<()> {
         assert!(data.len() <= dst.len, "rput larger than destination");
-        let rt = self.runtime();
-        let _t = rt
-            .module_stats()
-            .time_op("upcxx", "rput", data.len() as u64);
-        let promise = Promise::new();
-        let fut = promise.future();
-        if dst.rank == self.rank() {
-            self.world.segments[dst.rank].write()[dst.offset..dst.offset + data.len()]
-                .copy_from_slice(data);
-            promise.put(());
-            return fut;
-        }
-        let mut slot_promise = Some(promise);
-        let id = self.new_slot(Box::new(move |_| {
-            slot_promise.take().expect("ack twice").put(());
-        }));
-        let mut payload = BytesMut::with_capacity(8 + data.len());
-        payload.put_u64_le(dst.offset as u64);
-        payload.put_slice(data);
-        self.transport
-            .send(dst.rank, Channel::UPCXX, tag(op::PUT, id), payload.freeze());
-        fut
+        self.ctx.time_op("rput", data.len() as u64, |_| {
+            let promise = Promise::new();
+            let fut = promise.future();
+            if dst.rank == self.rank() {
+                self.world.segments[dst.rank].write()[dst.offset..dst.offset + data.len()]
+                    .copy_from_slice(data);
+                promise.put(());
+                return fut;
+            }
+            let mut slot_promise = Some(promise);
+            let id = self.new_slot(Box::new(move |_| {
+                slot_promise.take().expect("ack twice").put(());
+            }));
+            let mut payload = BytesMut::with_capacity(8 + data.len());
+            payload.put_u64_le(dst.offset as u64);
+            payload.put_slice(data);
+            self.transport
+                .send(dst.rank, Channel::UPCXX, tag(op::PUT, id), payload.freeze());
+            fut
+        })
     }
 
     /// Typed `rput` of f64 values.
@@ -341,32 +318,32 @@ impl UpcxxModule {
 
     /// `upcxx::rget`: fetches `src.len` bytes; future carries the data.
     pub fn rget(&self, src: GlobalPtr) -> Future<Bytes> {
-        let rt = self.runtime();
-        let _t = rt.module_stats().time_op("upcxx", "rget", src.len as u64);
-        let promise = Promise::new();
-        let fut = promise.future();
-        if src.rank == self.rank() {
-            let seg = self.world.segments[src.rank].read();
-            promise.put(Bytes::copy_from_slice(
-                &seg[src.offset..src.offset + src.len],
-            ));
-            return fut;
-        }
-        let mut slot_promise = Some(promise);
-        let id = self.new_slot(Box::new(move |result| {
-            let data = *result.downcast::<Bytes>().expect("rget reply type");
-            slot_promise.take().expect("reply twice").put(data);
-        }));
-        let mut payload = BytesMut::with_capacity(16);
-        payload.put_u64_le(src.offset as u64);
-        payload.put_u64_le(src.len as u64);
-        self.transport.send(
-            src.rank,
-            Channel::UPCXX,
-            tag(op::GET_REQ, id),
-            payload.freeze(),
-        );
-        fut
+        self.ctx.time_op("rget", src.len as u64, |_| {
+            let promise = Promise::new();
+            let fut = promise.future();
+            if src.rank == self.rank() {
+                let seg = self.world.segments[src.rank].read();
+                promise.put(Bytes::copy_from_slice(
+                    &seg[src.offset..src.offset + src.len],
+                ));
+                return fut;
+            }
+            let mut slot_promise = Some(promise);
+            let id = self.new_slot(Box::new(move |result| {
+                let data = *result.downcast::<Bytes>().expect("rget reply type");
+                slot_promise.take().expect("reply twice").put(data);
+            }));
+            let mut payload = BytesMut::with_capacity(16);
+            payload.put_u64_le(src.offset as u64);
+            payload.put_u64_le(src.len as u64);
+            self.transport.send(
+                src.rank,
+                Channel::UPCXX,
+                tag(op::GET_REQ, id),
+                payload.freeze(),
+            );
+            fut
+        })
     }
 
     /// Typed `rget` of f64 values.
@@ -392,9 +369,7 @@ impl UpcxxModule {
         target: Rank,
         f: impl FnOnce() -> R + Send + 'static,
     ) -> Future<R> {
-        let rt = self.runtime();
-        let _t = rt.module_stats().time_op("upcxx", "rpc", 0);
-        self.rpc_untimed(target, f)
+        self.ctx.time_op("rpc", 0, |_| self.rpc_untimed(target, f))
     }
 
     /// [`rpc`](Self::rpc) without the stats span: the collectives below are
@@ -426,9 +401,8 @@ impl UpcxxModule {
 
     /// `upcxx::barrier()` (blocking; help-first on workers).
     pub fn barrier(&self, shared: &UpcxxBarrier) {
-        let rt = self.runtime();
-        let _t = rt.module_stats().time_op("upcxx", "barrier", 0);
-        self.barrier_async(shared).wait();
+        self.ctx
+            .time_op("barrier", 0, |_| self.barrier_async(shared).wait());
     }
 
     /// Future-returning barrier.
@@ -456,35 +430,33 @@ impl UpcxxModule {
     /// Elementwise f64 sum-allreduce (rpc contributions to rank 0, results
     /// pushed back through the shared promise table).
     pub fn allreduce_sum_f64(&self, shared: &UpcxxReduce, vals: &[f64]) -> Future<Vec<f64>> {
-        let rt = self.runtime();
-        let _t = rt
-            .module_stats()
-            .time_op("upcxx", "allreduce", 8 * vals.len() as u64);
-        let promise = Promise::new();
-        let fut = promise.future();
-        let n = self.nranks();
-        let state = shared.state.clone();
-        let mine = vals.to_vec();
-        let contribute = move || {
-            let mut st = state.lock();
-            match &mut st.acc {
-                Some(acc) => {
-                    for (a, b) in acc.iter_mut().zip(&mine) {
-                        *a += b;
+        self.ctx.time_op("allreduce", 8 * vals.len() as u64, |_| {
+            let promise = Promise::new();
+            let fut = promise.future();
+            let n = self.nranks();
+            let state = shared.state.clone();
+            let mine = vals.to_vec();
+            let contribute = move || {
+                let mut st = state.lock();
+                match &mut st.acc {
+                    Some(acc) => {
+                        for (a, b) in acc.iter_mut().zip(&mine) {
+                            *a += b;
+                        }
+                    }
+                    None => st.acc = Some(mine.clone()),
+                }
+                st.waiting.push(promise);
+                if st.waiting.len() == n {
+                    let result = st.acc.take().expect("reduction accumulator missing");
+                    for p in st.waiting.drain(..) {
+                        p.put(result.clone());
                     }
                 }
-                None => st.acc = Some(mine.clone()),
-            }
-            st.waiting.push(promise);
-            if st.waiting.len() == n {
-                let result = st.acc.take().expect("reduction accumulator missing");
-                for p in st.waiting.drain(..) {
-                    p.put(result.clone());
-                }
-            }
-        };
-        let _ = self.rpc_untimed(0, contribute);
-        fut
+            };
+            let _ = self.rpc_untimed(0, contribute);
+            fut
+        })
     }
 }
 
@@ -533,18 +505,13 @@ impl SchedulerModule for UpcxxModule {
     }
 
     fn initialize(&self, rt: &Runtime) -> Result<(), ModuleError> {
-        let interconnect = rt.place_of_kind(&PlaceKind::Interconnect).ok_or_else(|| {
-            ModuleError::new("upcxx", "platform model contains no Interconnect place")
-        })?;
-        *self.state.write() = Some(ModuleState {
-            rt: rt.clone(),
-            interconnect,
-        });
+        let interconnect = self.ctx.find_place(rt, &[PlaceKind::Interconnect])?;
+        self.ctx.bind(rt, interconnect, ());
         Ok(())
     }
 
     fn finalize(&self, _rt: &Runtime) {
-        *self.state.write() = None;
+        self.ctx.unbind();
     }
 }
 
