@@ -283,15 +283,13 @@ pub fn run_hiper(
             let bot_fut = gpu.memcpy_d2h_future(&slabs.stream, &slabs.old, pb, pb);
 
             // (2) Sends predicated on the D2H futures; receives posted now.
-            let top_unit = unit_of(&top_fut);
-            let bot_unit = unit_of(&bot_fut);
             if let Some(up) = up {
                 let t = top_fut.clone();
                 mpi.isend_await(
                     up,
                     TAG_UP,
                     move || hiper_netsim::pod::from_bytes::<f64>(&t.get()),
-                    &top_unit,
+                    &top_fut,
                 );
             }
             if let Some(down) = down {
@@ -300,7 +298,7 @@ pub fn run_hiper(
                     down,
                     TAG_DOWN,
                     move || hiper_netsim::pod::from_bytes::<f64>(&b.get()),
-                    &bot_unit,
+                    &bot_fut,
                 );
             }
             let recv_up = up.map(|u| mpi.irecv_bytes(Some(u), Some(TAG_DOWN)));
@@ -326,21 +324,17 @@ pub fn run_hiper(
                 let stream = slabs.stream.clone();
                 let dst = Arc::clone(&slabs.old);
                 let halo_off = (params.nz + 1) * pb;
-                let recv2 = recv.clone();
-                let copied = chained(&unit_of(&recv), move || {
-                    gpu2.memcpy_h2d_future(&stream, &dst, halo_off, recv2.get().data.to_vec())
-                });
-                boundary_deps.push(copied);
+                boundary_deps.push(recv.and_then(move |got| {
+                    gpu2.memcpy_h2d_future(&stream, &dst, halo_off, got.data.to_vec())
+                }));
             }
             if let Some(recv) = recv_down {
                 let gpu2 = Arc::clone(gpu);
                 let stream = slabs.stream.clone();
                 let dst = Arc::clone(&slabs.old);
-                let recv2 = recv.clone();
-                let copied = chained(&unit_of(&recv), move || {
-                    gpu2.memcpy_h2d_future(&stream, &dst, 0, recv2.get().data.to_vec())
-                });
-                boundary_deps.push(copied);
+                boundary_deps.push(recv.and_then(move |got| {
+                    gpu2.memcpy_h2d_future(&stream, &dst, 0, got.data.to_vec())
+                }));
             }
             if let Some(inner) = &inner {
                 boundary_deps.push(inner.clone());
@@ -375,33 +369,6 @@ pub fn run_hiper(
     }
     let interior = download_interior(gpu, params, &slabs);
     (slabs, interior)
-}
-
-/// Converts any future into a unit future.
-fn unit_of<T: Send + 'static>(f: &hiper_runtime::Future<T>) -> hiper_runtime::Future<()> {
-    let p = hiper_runtime::Promise::new();
-    let out = p.future();
-    let mut slot = Some(p);
-    f.on_ready(move || slot.take().expect("fired twice").put(()));
-    out
-}
-
-/// Runs `then` (producing a future) once `dep` fires; returns a future on
-/// the inner future's completion.
-fn chained(
-    dep: &hiper_runtime::Future<()>,
-    then: impl FnOnce() -> hiper_runtime::Future<()> + Send + 'static,
-) -> hiper_runtime::Future<()> {
-    let p = hiper_runtime::Promise::new();
-    let out = p.future();
-    let slot = parking_lot::Mutex::new(Some((p, then)));
-    dep.on_ready(move || {
-        let (p, then) = slot.lock().take().expect("fired twice");
-        let inner = then();
-        let mut pslot = Some(p);
-        inner.on_ready(move || pslot.take().expect("fired twice").put(()));
-    });
-    out
 }
 
 #[cfg(test)]

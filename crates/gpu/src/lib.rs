@@ -6,9 +6,10 @@
 //!   model charged in wall-clock time.
 //! * [`GpuModule`] — the pluggable HiPER module: blocking and asynchronous
 //!   transfers, asynchronous kernel launches returning futures, launches
-//!   predicated on futures (`launch_await`), registration as the handler
-//!   for every `async_copy` touching a GPU place, and promise satisfaction
-//!   via the shared polling-task technique.
+//!   predicated on futures (`launch_await`, which skips the kernel and
+//!   carries the error when a dependency is poisoned), registration as the
+//!   handler for every `async_copy` touching a GPU place, and promise
+//!   satisfaction via the shared polling-task technique.
 
 mod device;
 mod module;

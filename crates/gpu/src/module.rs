@@ -57,11 +57,6 @@ impl GpuModule {
         })
     }
 
-    /// Number of simulated devices.
-    pub fn device_count(&self) -> usize {
-        self.ctx.with(|b| b.state.devices.len())
-    }
-
     /// The platform place of `device`.
     pub fn place_of(&self, device: usize) -> PlaceId {
         self.ctx.with(|b| b.state.places[device])
@@ -75,12 +70,6 @@ impl GpuModule {
     /// Creates a stream on `device` (cudaStreamCreate).
     pub fn create_stream(&self, device: usize) -> Stream {
         self.ctx.with(|b| b.state.devices[device].create_stream())
-    }
-
-    /// Wraps a device completion marker in a HiPER future, satisfied by the
-    /// module's polling task.
-    pub fn future_of(&self, done: Arc<OpDone>) -> Future<()> {
-        self.ctx.with(|b| b.poll_future(completion(done)))
     }
 
     /// Asynchronous kernel launch returning a future.
@@ -97,32 +86,31 @@ impl GpuModule {
 
     /// Kernel launch predicated on dependencies: the launch happens when
     /// every `dep` is satisfied (the §II-D `forasync_cuda(..., deps)`
-    /// pattern).
+    /// pattern). A poisoned dependency skips the kernel and poisons the
+    /// launch's future with its error.
     pub fn launch_await(
         &self,
         stream: &Stream,
         deps: &[Future<()>],
         kernel: impl FnOnce() + Send + 'static,
     ) -> Future<()> {
-        let all = hiper_runtime::when_all(deps);
-        let promise = Promise::new();
-        let fut = promise.future();
         let (ctx, stream) = (Arc::clone(&self.ctx), stream.clone());
-        all.on_ready(move || {
+        hiper_runtime::when_all(deps).and_then(move |_| {
+            let launched = ctx.try_with(|b| {
+                let done = b.state.devices[stream.device()].launch_kernel(&stream, kernel);
+                b.poll_future(completion(done))
+            });
             // A dependency put after shutdown finds the module unbound: the
             // launch's future is poisoned, the putter's thread unharmed.
-            let mut promise = Some(promise);
-            ctx.try_with(|b| {
-                let done = b.state.devices[stream.device()].launch_kernel(&stream, kernel);
-                b.complete_when(promise.take().expect("launched once"), completion(done));
-            });
-            if let Some(promise) = promise {
+            launched.unwrap_or_else(|| {
+                let promise = Promise::new();
+                let fut = promise.future();
                 promise.poison(TaskError::new(
                     "cuda: kernel launch after module finalization",
                 ));
-            }
-        });
-        fut
+                fut
+            })
+        })
     }
 
     /// Blocking H2D copy (cudaMemcpy): stalls the calling OS thread for the

@@ -633,20 +633,6 @@ pub fn dump_openmetrics() -> String {
     out
 }
 
-/// One-line human summary of a histogram (report footers, stderr dumps).
-pub fn summarize_histogram(name: &str, snap: &HistogramSnapshot) -> String {
-    format!(
-        "{}: n={} mean={:.0} p50<={} p90<={} p99<={} max={}",
-        name,
-        snap.count,
-        snap.mean(),
-        snap.quantile(0.50),
-        snap.quantile(0.90),
-        snap.quantile(0.99),
-        snap.max
-    )
-}
-
 // ---------------------------------------------------------------------
 // Session (CLI surface)
 // ---------------------------------------------------------------------

@@ -20,7 +20,7 @@ use bytes::Bytes;
 use hiper_netsim::pod::{from_bytes, Pod};
 use hiper_netsim::{Rank, Transport};
 use hiper_platform::PlaceKind;
-use hiper_runtime::{Future, ModuleCtx, ModuleError, Promise, Runtime, SchedulerModule};
+use hiper_runtime::{Future, ModuleCtx, ModuleError, Runtime, SchedulerModule};
 
 use crate::raw::{RawComm, RecvStatus};
 use crate::typed::{ReduceOp, Reducible};
@@ -141,23 +141,20 @@ impl MpiModule {
     }
 
     /// `MPI_Isend` predicated on a dependency (the paper's
-    /// `MPI_Isend_await` from the §II-D stencil example).
-    pub fn isend_await<T: Pod>(
+    /// `MPI_Isend_await` from the §II-D stencil example). A poisoned `dep`
+    /// sends nothing and poisons the returned future with its error.
+    pub fn isend_await<T: Pod, D: Send + 'static>(
         &self,
         dst: Rank,
         tag: u64,
         data: impl Fn() -> Vec<T> + Send + Sync + 'static,
-        dep: &Future<()>,
+        dep: &Future<D>,
     ) -> Future<()> {
         self.ctx.time_op("isend_await", 0, |b| {
             let raw = Arc::clone(&self.raw);
-            let promise = Promise::new();
-            let fut = promise.future();
-            b.rt.spawn_await_at(b.place, dep, move || {
+            b.rt.spawn_future_await_at(b.place, dep, move || {
                 raw.send(dst, tag, hiper_netsim::pod::to_bytes(&data()));
-                promise.put(());
-            });
-            fut
+            })
         })
     }
 

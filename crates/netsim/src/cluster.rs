@@ -74,11 +74,6 @@ impl Transport {
         self.engine.register_handler(self.rank, channel, handler);
     }
 
-    /// The network model in force.
-    pub fn net_config(&self) -> NetConfig {
-        self.engine.config()
-    }
-
     /// Traffic counters for the whole cluster.
     pub fn net_stats(&self) -> crate::engine::NetStatsSnapshot {
         self.engine.stats.snapshot()

@@ -492,11 +492,6 @@ impl DeliveryEngine {
         self.ranks
     }
 
-    /// The network model in force.
-    pub fn config(&self) -> NetConfig {
-        self.config
-    }
-
     /// The armed fault plan, if any. Reliable transports consult this to
     /// decide whether to arm acking/retry (pass-through on `None`).
     pub fn fault_plan(&self) -> Option<&crate::FaultPlan> {

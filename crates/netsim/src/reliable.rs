@@ -541,11 +541,6 @@ impl ReliableTransport {
         self.transport.nranks()
     }
 
-    /// The wrapped raw transport.
-    pub fn raw_transport(&self) -> &Transport {
-        &self.transport
-    }
-
     /// True when acked delivery is armed (a fault plan is active).
     pub fn enabled(&self) -> bool {
         self.enabled

@@ -251,30 +251,6 @@ impl Runtime {
         future
     }
 
-    /// `async_copy_await`: like [`async_copy`](Self::async_copy) but the
-    /// transfer additionally waits for `deps` before starting.
-    pub fn async_copy_await(
-        &self,
-        dst: MemLoc,
-        dst_place: PlaceId,
-        src: MemLoc,
-        src_place: PlaceId,
-        nbytes: usize,
-        deps: &[Future<()>],
-    ) -> Future<()> {
-        let all = crate::promise::when_all(deps);
-        let rt = self.clone();
-        let promise = Promise::new();
-        let future = promise.future();
-        let promise = parking_lot::Mutex::new(Some(promise));
-        all.on_ready(move || {
-            let inner = rt.async_copy(dst, dst_place, src, src_place, nbytes);
-            let promise = promise.lock().take().expect("copy dependency fired twice");
-            inner.on_ready(move || promise.put(()));
-        });
-        future
-    }
-
     /// Access to the copy-handler registry (for module registration).
     pub fn copy_registry(&self) -> &CopyRegistry {
         &self.inner.copy_registry

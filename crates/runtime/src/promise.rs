@@ -5,8 +5,10 @@
 //! synchronization channel from one source task to many sink tasks.
 //!
 //! Sink tasks may block on the future ([`Future::wait`] / [`Future::get`]) or
-//! register continuations ([`Future::on_ready`], used by the runtime's
-//! `async_await` family). Blocking on a future from inside a worker thread
+//! chain continuations ([`Future::map`] / [`Future::and_then`], and the
+//! runtime's `async_await` family, all built on [`Future::on_ready`]). Every
+//! chain is fail-fast: a poisoned input runs no body and hands its
+//! [`TaskError`] on. Blocking on a future from inside a worker thread
 //! does **not** block the core: the wait is *help-first* — the worker keeps
 //! executing other eligible tasks until the promise is satisfied. This is the
 //! Rust substitution for the C++ implementation's Boost.Context call-stack
@@ -78,10 +80,6 @@ const POISONED: usize = 4;
 pub struct TaskError {
     /// Human-readable failure reason (usually the panic payload).
     pub message: String,
-    /// Explicitly marked transient at construction (see
-    /// [`TaskError::transient`]); `is_transient` also pattern-matches the
-    /// message so propagated wrappers keep the classification.
-    transient: bool,
 }
 
 impl TaskError {
@@ -89,28 +87,15 @@ impl TaskError {
     pub fn new(message: impl Into<String>) -> TaskError {
         TaskError {
             message: message.into(),
-            transient: false,
-        }
-    }
-
-    /// Creates an error explicitly classified transient — safe to retry
-    /// under a `RetryOn::Transient` policy regardless of its message.
-    pub fn transient(message: impl Into<String>) -> TaskError {
-        TaskError {
-            message: message.into(),
-            transient: true,
         }
     }
 
     /// Whether a supervised scope should consider retrying after this
-    /// failure: either explicitly flagged, or the message matches a known
-    /// transient cause (unreachable peer, timeout, rank-down window).
-    /// Poison propagation wraps messages ("dependency poisoned: ...") but
-    /// preserves the original text, so the match survives chaining.
+    /// failure: the message names a known transient cause (unreachable
+    /// peer, timeout, rank-down window). Poison propagation carries the
+    /// upstream error or wraps its message ("dependency poisoned: ..."),
+    /// so the match survives chaining.
     pub fn is_transient(&self) -> bool {
-        if self.transient {
-            return true;
-        }
         let m = self.message.to_ascii_lowercase();
         [
             "unreachable",
@@ -352,6 +337,36 @@ impl<T> Drop for Promise<T> {
     }
 }
 
+/// The output promise of a task predicated on `cause`. A predicated task
+/// whose dependency is poisoned is dropped unrun, and with it this guard:
+/// the output then carries `cause`'s own error rather than the generic
+/// "promise dropped without a value".
+pub(crate) struct OutputOf<T, D: Send + 'static> {
+    promise: Option<Promise<T>>,
+    cause: Future<D>,
+}
+
+impl<T, D: Send + 'static> OutputOf<T, D> {
+    pub(crate) fn new(promise: Promise<T>, cause: &Future<D>) -> Self {
+        OutputOf {
+            promise: Some(promise),
+            cause: cause.clone(),
+        }
+    }
+
+    pub(crate) fn put(mut self, value: T) {
+        self.promise.take().expect("put once").put(value);
+    }
+}
+
+impl<T, D: Send + 'static> Drop for OutputOf<T, D> {
+    fn drop(&mut self) {
+        if let (Some(p), Some(err)) = (self.promise.take(), self.cause.poison_error()) {
+            p.poison(err);
+        }
+    }
+}
+
 impl<T: Send + 'static> Future<T> {
     /// True if the value is available.
     pub fn is_ready(&self) -> bool {
@@ -382,6 +397,12 @@ impl<T: Send + 'static> Future<T> {
     /// fail fast instead of leaking. If the future is already complete the
     /// thunk runs immediately on the calling thread.
     ///
+    /// This is the primitive the combinators are built on; the thunk must
+    /// check for poison itself. Module and application code chains with
+    /// [`map`](Self::map) / [`and_then`](Self::and_then), or predicates a
+    /// task with `Runtime::spawn_await_at` / `spawn_future_await_at`, all of
+    /// which fail fast.
+    ///
     /// The first registration on a pending future lands in the inline slot:
     /// no allocation when the thunk's captures fit in
     /// [`SMALL_FN_BYTES`](crate::smallfn::SMALL_FN_BYTES).
@@ -406,6 +427,49 @@ impl<T: Send + 'static> Future<T> {
             // Completed while we were building the thunk: run it now.
             _terminal => thunk.call(),
         }
+    }
+
+    /// A future on `f` of this future's value. Fail-fast: on poison `f`
+    /// never runs and the output carries the upstream [`TaskError`] itself.
+    /// `f` runs inline on the completing thread (no task, no finish-scope
+    /// registration), so it must be cheap and must not block.
+    pub fn map<U: Send + 'static>(&self, f: impl FnOnce(&T) -> U + Send + 'static) -> Future<U> {
+        let promise = Promise::new();
+        let out = promise.future();
+        self.settle(promise, move |v, p| p.put(f(v)));
+        out
+    }
+
+    /// A future on the future `f` returns for this future's value (an
+    /// operation started once its input arrives). Fail-fast like
+    /// [`map`](Self::map): on poison `f` never runs, and a poisoned inner
+    /// future poisons the output with its own error. `f` runs inline on the
+    /// completing thread; the inner value is cloned into the output.
+    pub fn and_then<U: Clone + Send + 'static>(
+        &self,
+        f: impl FnOnce(&T) -> Future<U> + Send + 'static,
+    ) -> Future<U> {
+        let promise = Promise::new();
+        let out = promise.future();
+        self.settle(promise, move |v, p| {
+            f(v).settle(p, |u, p| p.put(u.clone()));
+        });
+        out
+    }
+
+    /// Once this future completes, hands its value and `promise` to `f`;
+    /// on poison `f` is skipped and `promise` is poisoned with the same
+    /// error.
+    fn settle<U: Send + 'static>(
+        &self,
+        promise: Promise<U>,
+        f: impl FnOnce(&T, Promise<U>) + Send + 'static,
+    ) {
+        let src = self.clone();
+        self.on_ready(move || match src.shared.outcome() {
+            Ok(v) => f(v, promise),
+            Err(e) => promise.poison(e.clone()),
+        });
     }
 
     /// Blocks the *logical* task until the future completes (value or

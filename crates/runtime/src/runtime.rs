@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::copy::CopyRegistry;
 use crate::event::{Wake, WakeHub};
 use crate::module::{ModuleError, SchedulerModule};
-use crate::promise::{Future, Promise, TaskError};
+use crate::promise::{Future, OutputOf, Promise, TaskError};
 use crate::scheduler::Scheduler;
 use crate::stats::{ModuleStats, SchedStatsSnapshot};
 use crate::task::{BodyKind, FinishScope, Task, TaskBody};
@@ -412,9 +412,22 @@ impl Runtime {
         dep: &Future<D>,
         f: impl FnOnce() -> T + Send + 'static,
     ) -> Future<T> {
+        self.spawn_future_await_at(self.here(), dep, f)
+    }
+
+    /// `async_future_await` at a specific place. Fail-fast like
+    /// [`spawn_await_at`](Self::spawn_await_at); the returned future is then
+    /// poisoned with `dep`'s own error.
+    pub fn spawn_future_await_at<D: Send + 'static, T: Send + 'static>(
+        &self,
+        place: PlaceId,
+        dep: &Future<D>,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> Future<T> {
         let promise = Promise::new();
         let future = promise.future();
-        self.spawn_await(dep, move || promise.put(f()));
+        let out = OutputOf::new(promise, dep);
+        self.spawn_await_at(place, dep, move || out.put(f()));
         future
     }
 

@@ -420,37 +420,6 @@ fn async_copy_host_to_host() {
 }
 
 #[test]
-fn async_copy_await_orders_after_dependencies() {
-    let cfg = autogen::smp(2);
-    let rt = Runtime::new(cfg);
-    let rt2 = rt.clone();
-    rt.block_on(move || {
-        let src = hiper_runtime::HostBuffer::new(8);
-        let dst = hiper_runtime::HostBuffer::new(8);
-        let home = rt2.here();
-        let src2 = Arc::clone(&src);
-        // The dependency writes the source *before* the copy may start.
-        let dep = api::async_future(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            src2.write_bytes(0, &[9u8; 8]);
-        });
-        let fut = rt2.async_copy_await(
-            hiper_runtime::MemLoc::host(&dst, 0),
-            home,
-            hiper_runtime::MemLoc::host(&src, 0),
-            home,
-            8,
-            &[dep],
-        );
-        fut.wait();
-        let mut out = [0u8; 8];
-        dst.read_bytes(0, &mut out);
-        assert_eq!(out, [9u8; 8]);
-    });
-    rt.shutdown();
-}
-
-#[test]
 fn hostbuffer_f64_views() {
     let buf = hiper_runtime::HostBuffer::new(10 * 8);
     let vals: Vec<f64> = (0..10).map(|i| i as f64 * 1.5).collect();

@@ -348,18 +348,8 @@ impl UpcxxModule {
 
     /// Typed `rget` of f64 values.
     pub fn rget_f64(&self, src: GlobalPtr) -> Future<Vec<f64>> {
-        let raw = self.rget(src);
-        let promise = Promise::new();
-        let fut = promise.future();
-        let mut slot = Some(promise);
-        let raw2 = raw.clone();
-        raw.on_ready(move || {
-            let data = raw2.try_get().expect("ready future lost its value");
-            slot.take()
-                .expect("reply twice")
-                .put(hiper_netsim::pod::from_bytes(&data));
-        });
-        fut
+        self.rget(src)
+            .map(|data| hiper_netsim::pod::from_bytes(data))
     }
 
     /// `upcxx::rpc`: executes `f` at `target` as a task on the target's

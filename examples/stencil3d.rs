@@ -10,8 +10,8 @@
 //!    `MPI_Irecv` futures await the neighbors' planes,
 //! 3. the slab *interior* is processed by a CUDA kernel whose launch is
 //!    **not** blocked on any of the above,
-//! 4. the received planes are copied to the device predicated on the
-//!    receive futures (`async_copy_await`).
+//! 4. the received planes are copied to the device by tasks predicated on
+//!    the receive futures and the interior kernel (`async_await`).
 //!
 //! Every dependency is expressed between components (MPI ↔ CUDA ↔ host)
 //! through futures; no blocking call stalls a CPU thread.
@@ -99,15 +99,13 @@ fn main() {
                         });
 
                         // (2) Transmit ghost planes once ready; post recvs.
-                        let unit = hiper::runtime::when_all(&[to_unit(&ghost_fut)]);
-                        let unit_b = hiper::runtime::when_all(&[to_unit(&ghost_fut_b)]);
                         if let Some(up) = up {
                             let g = ghost_fut.clone();
-                            mpi.isend_await(up, TAG_UP, move || g.get(), &unit);
+                            mpi.isend_await(up, TAG_UP, move || g.get(), &ghost_fut);
                         }
                         if let Some(down) = down {
                             let g = ghost_fut_b.clone();
-                            mpi.isend_await(down, TAG_DOWN, move || g.get(), &unit_b);
+                            mpi.isend_await(down, TAG_DOWN, move || g.get(), &ghost_fut_b);
                         }
                         let recv_up = up.map(|u| mpi.irecv::<f64>(Some(u), Some(TAG_DOWN)));
                         let recv_down = down.map(|d| mpi.irecv::<f64>(Some(d), Some(TAG_UP)));
@@ -126,7 +124,7 @@ fn main() {
                             (recv_down, 0),    // from down goes into bottom halo
                         ] {
                             if let Some(recv) = recv {
-                                let deps = [to_unit(&recv), interior.clone()];
+                                let deps = [recv.map(|_| ()), interior.clone()];
                                 let all = hiper::runtime::when_all(&deps);
                                 let gpu = Arc::clone(&gpu);
                                 let slab = Arc::clone(&slab);
@@ -176,14 +174,6 @@ fn main() {
         "norm must decay"
     );
     println!("stencil3d OK");
-}
-
-fn to_unit<T: Send + 'static>(f: &hiper::runtime::Future<T>) -> hiper::runtime::Future<()> {
-    let p = Promise::new();
-    let out = p.future();
-    let mut slot = Some(p);
-    f.on_ready(move || slot.take().expect("fired twice").put(()));
-    out
 }
 
 fn bytes_of(plane: &[f64]) -> Vec<u8> {

@@ -67,35 +67,16 @@ fn four_modules_compose_on_one_runtime() {
                     let gpu = Arc::clone(&gpu);
                     let stream = stream.clone();
                     let dbuf = Arc::clone(&dbuf);
-                    let p = Promise::new();
-                    let f = p.future();
-                    let mut slot = Some(p);
-                    kernel_done.on_ready(move || {
-                        let inner = gpu.memcpy_d2h_future(&stream, &dbuf, 0, 8);
-                        let inner2 = inner.clone();
-                        let mut s = slot.take();
-                        inner.on_ready(move || {
-                            let v = u64::from_le_bytes(
-                                inner2.try_get().unwrap()[..8].try_into().unwrap(),
-                            );
-                            s.take().unwrap().put(v);
-                        });
-                    });
-                    f
+                    kernel_done
+                        .and_then(move |_| gpu.memcpy_d2h_future(&stream, &dbuf, 0, 8))
+                        .map(|bytes| u64::from_le_bytes(bytes[..8].try_into().unwrap()))
                 };
 
                 // Ring: send my value right, receive from left.
                 let right = (env.rank + 1) % n;
                 let left = (env.rank + n - 1) % n;
                 let f2 = fetched.clone();
-                let unit = {
-                    let p = Promise::new();
-                    let f = p.future();
-                    let mut slot = Some(p);
-                    fetched.on_ready(move || slot.take().unwrap().put(()));
-                    f
-                };
-                mpi.isend_await(right, 1, move || vec![f2.get()], &unit);
+                mpi.isend_await(right, 1, move || vec![f2.get()], &fetched);
                 let recv = mpi.irecv::<u64>(Some(left), Some(1));
 
                 // Stage 3: on receipt, set the SHMEM flag on rank 0 (one

@@ -1,8 +1,9 @@
 //! Every module binds to the runtime through one `ModuleCtx`: on a platform
 //! model without the place it needs, each of the five modules fails
 //! `RuntimeBuilder::build()` with a `ModuleError::Init` carrying its own
-//! name, and on a model that has the place it builds. A source guard keeps
-//! the per-module copies of the binding plumbing from coming back.
+//! name, and on a model that has the place it builds. Source guards keep
+//! the per-module copies of the binding plumbing from coming back, and keep
+//! module and application code off hand-built `on_ready` chains.
 
 use std::sync::Arc;
 
@@ -47,6 +48,18 @@ fn module(name: &str, cluster: &Cluster) -> Arc<dyn SchedulerModule> {
         other => unreachable!("no module named {}", other),
     }
 }
+
+/// The five module sources, by stats name.
+const MODULE_FILES: [(&str, &str); 5] = [
+    ("mpi", include_str!("../crates/mpi/src/module.rs")),
+    ("shmem", include_str!("../crates/shmem/src/module.rs")),
+    ("upcxx", include_str!("../crates/upcxx/src/lib.rs")),
+    ("cuda", include_str!("../crates/gpu/src/module.rs")),
+    (
+        "checkpoint",
+        include_str!("../crates/checkpoint/src/lib.rs"),
+    ),
+];
 
 /// (module, a platform without its place, a platform with it)
 fn cases() -> Vec<(&'static str, PlatformConfig, PlatformConfig)> {
@@ -99,17 +112,7 @@ fn each_module_builds_and_finalizes_where_its_place_exists() {
 
 #[test]
 fn module_files_carry_no_copy_of_the_binding_plumbing() {
-    let files = [
-        ("mpi", include_str!("../crates/mpi/src/module.rs")),
-        ("shmem", include_str!("../crates/shmem/src/module.rs")),
-        ("upcxx", include_str!("../crates/upcxx/src/lib.rs")),
-        ("cuda", include_str!("../crates/gpu/src/module.rs")),
-        (
-            "checkpoint",
-            include_str!("../crates/checkpoint/src/lib.rs"),
-        ),
-    ];
-    for (name, src) in files {
+    for (name, src) in MODULE_FILES {
         for banned in [
             "fn taskify",
             "fn with_state",
@@ -123,5 +126,21 @@ fn module_files_carry_no_copy_of_the_binding_plumbing() {
                 banned
             );
         }
+    }
+}
+
+#[test]
+fn module_and_application_code_chains_futures_fail_fast() {
+    let apps = [
+        ("geo", include_str!("../crates/bench/src/geo.rs")),
+        ("stencil3d", include_str!("../examples/stencil3d.rs")),
+    ];
+    for (name, src) in MODULE_FILES.into_iter().chain(apps) {
+        assert!(
+            !src.contains("on_ready("),
+            "{} chains a future by hand with `on_ready`: use `map`, \
+             `and_then` or a predicated spawn, which skip the body on poison",
+            name
+        );
     }
 }
