@@ -1,7 +1,7 @@
 //! §III-C2: Graph500 — manual-polling reference vs HiPER with
 //! `shmem_async_when`.
 //!
-//! The paper observes "little performance improvement to-date, [but] the
+//! The paper observes "little performance improvement to-date, \[but\] the
 //! programmability benefits have been significant": the polling loop (and
 //! its bookkeeping) disappears into a predicated task. This harness reports
 //! both times (expect them close) and validates both BFS trees against a

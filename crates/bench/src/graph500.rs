@@ -9,7 +9,7 @@
 //!
 //! * [`run_reference_polling`] — the receiving rank **spins polling** each
 //!   source's arrival flag every level ("Both the reference Graph 500
-//!   implementations and [18] must constantly poll for incoming data. This
+//!   implementations and \[18\] must constantly poll for incoming data. This
 //!   polling adds overhead, and significantly complicates the
 //!   implementation.").
 //! * [`run_hiper`] — the arrival processing is a task predicated on the

@@ -9,7 +9,7 @@
 //! load balancing.
 //!
 //! All three distributed implementations share the same app-level
-//! load-balancing protocol over the symmetric heap ([`LocalState`]: a rank
+//! load-balancing protocol over the symmetric heap (`LocalState`: a rank
 //! that runs dry asks its peers and sleeps on a wake word, a rank that holds
 //! nodes answers with about half of them in one put, an outstanding-work
 //! counter at rank 0 and a done flag end the run), exactly as the paper's
@@ -708,7 +708,7 @@ pub fn run_omp_tasks(raw: &Arc<RawShmem>, pool: &Arc<Pool>, params: &UtsParams) 
 // ---------------------------------------------------------------------
 
 /// AsyncSHMEM: each batch of nodes this rank obtains is expanded by
-/// [`spawn_expand`] tasks under one `finish`, and those tasks answer the
+/// `spawn_expand` tasks under one `finish`, and those tasks answer the
 /// peers that ask for nodes while they run. When the rank runs dry it asks
 /// in turn and waits for the answer in `shmem_wait_until`, which blocks the
 /// task and not the worker; there is no sleeping or polling of remote

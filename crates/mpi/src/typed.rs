@@ -6,7 +6,7 @@ use hiper_netsim::Rank;
 
 use crate::raw::RawComm;
 
-/// Elementwise reduction operators for [`allreduce`]-style collectives.
+/// Elementwise reduction operators for [`allreduce`](RawComm::allreduce)-style collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {
     /// Elementwise sum.

@@ -440,7 +440,8 @@ impl DeliveryEngine {
     }
 
     /// Creates an engine with an armed fault plan. An inactive plan
-    /// ([`FaultPlan::is_active`] false) behaves exactly like `start`.
+    /// ([`FaultPlan::is_active`](crate::FaultPlan::is_active) false) behaves
+    /// exactly like `start`.
     pub fn start_with_faults(
         ranks: usize,
         config: NetConfig,

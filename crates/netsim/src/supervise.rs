@@ -7,7 +7,8 @@
 //! fixed point in each iteration — immediately *after* taking a checkpoint
 //! and *before* doing any work or sending anything. A seeded [`KillSpec`]
 //! decides which rank dies at which crash-point visit, so the kill schedule
-//! is replayable from the seed exactly like the wire-level [`FaultPlan`].
+//! is replayable from the seed exactly like the wire-level
+//! [`FaultPlan`](crate::FaultPlan).
 //!
 //! When a crash point fires, the victim's stack unwinds (a panic payload the
 //! harness recognises, skipping the panic hook) out of the workload body and

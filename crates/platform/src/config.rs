@@ -252,7 +252,8 @@ impl PlatformConfig {
         PlatformConfig::from_json(&doc)
     }
 
-    /// Serializes back to the JSON schema accepted by [`from_json`].
+    /// Serializes back to the JSON schema accepted by
+    /// [`from_json`](Self::from_json).
     pub fn to_json(&self) -> String {
         let mut root = BTreeMap::new();
         root.insert("name".to_string(), Json::from(self.name.as_str()));

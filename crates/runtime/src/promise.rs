@@ -44,9 +44,7 @@ use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 
 use crate::event::{WaitCell, WakeHub};
 use crate::runtime::Runtime;
@@ -404,8 +402,8 @@ impl<T: Send + 'static> Future<T> {
     /// which fail fast.
     ///
     /// The first registration on a pending future lands in the inline slot:
-    /// no allocation when the thunk's captures fit in
-    /// [`SMALL_FN_BYTES`](crate::smallfn::SMALL_FN_BYTES).
+    /// no allocation when the thunk's captures fit in 48 bytes. Second and
+    /// later registrations go to an overflow `Vec`, which allocates.
     pub fn on_ready(&self, thunk: impl FnOnce() + Send + 'static) {
         let shared = &self.shared;
         if shared.is_terminal() {
@@ -562,9 +560,63 @@ impl<T> fmt::Debug for Promise<T> {
     }
 }
 
+/// A countdown over `n` inputs sharing one allocation: the count, the
+/// first-observed error (first writer wins), and the `done` action. The
+/// thread whose arrival drains the count is the only one to touch `done`
+/// (the forasync latch's protocol), so `done` needs no lock.
+pub(crate) struct Join<F> {
+    remaining: AtomicUsize,
+    first_err: OnceLock<TaskError>,
+    done: UnsafeCell<Option<F>>,
+}
+
+// SAFETY: `done` is moved in before the join is shared and taken only by the
+// unique thread whose `AcqRel` decrement drained `remaining`.
+unsafe impl<F: Send> Sync for Join<F> {}
+
+impl<F: FnOnce(Option<TaskError>) + Send> Join<F> {
+    /// A join over `n > 0` inputs.
+    pub(crate) fn new(n: usize, done: F) -> Arc<Join<F>> {
+        debug_assert!(n > 0);
+        Arc::new(Join {
+            remaining: AtomicUsize::new(n),
+            first_err: OnceLock::new(),
+            done: UnsafeCell::new(Some(done)),
+        })
+    }
+
+    /// Registers the join on `input`: a 16-byte thunk (the join and the
+    /// input), inline in the input's waiter slot when that is free.
+    pub(crate) fn arm<T: Send + 'static>(self: &Arc<Self>, input: &Future<T>)
+    where
+        F: 'static,
+    {
+        let (join, input2) = (Arc::clone(self), input.clone());
+        input.on_ready(move || join.arrive(input2.poison_error()));
+    }
+
+    /// One input completed, poisoned with `err` if `Some`. The last arrival
+    /// runs `done` with the first-observed error.
+    fn arrive(&self, err: Option<TaskError>) {
+        if let Some(e) = err {
+            let _ = self.first_err.set(e);
+        }
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // SAFETY: this decrement drained the count, so no other thread
+            // touches `done` again, and it is ordered after every other one.
+            let done = unsafe { (*self.done.get()).take() }.expect("join drained once");
+            done(self.first_err.get().cloned());
+        }
+    }
+}
+
 /// Returns a future that completes when all input futures do (order of
 /// completion is irrelevant). If any input is poisoned, the output is
 /// poisoned with the first-observed error once every input completed.
+///
+/// Two allocations whatever the input count: the output promise and one
+/// shared join. Each input carries a small thunk, stored in its inline
+/// waiter slot when that is free.
 pub fn when_all<T: Send + 'static>(futures: &[Future<T>]) -> Future<()> {
     let p = Promise::new();
     let f = p.future();
@@ -572,30 +624,12 @@ pub fn when_all<T: Send + 'static>(futures: &[Future<T>]) -> Future<()> {
         p.put(());
         return f;
     }
-    let remaining = Arc::new(AtomicUsize::new(futures.len()));
-    let first_err: Arc<Mutex<Option<TaskError>>> = Arc::new(Mutex::new(None));
-    let p = Arc::new(Mutex::new(Some(p)));
+    let join = Join::new(futures.len(), move |err| match err {
+        Some(e) => p.poison(e),
+        None => p.put(()),
+    });
     for fut in futures {
-        let remaining = Arc::clone(&remaining);
-        let first_err = Arc::clone(&first_err);
-        let p = Arc::clone(&p);
-        let fut2 = fut.clone();
-        fut.on_ready(move || {
-            if let Some(e) = fut2.poison_error() {
-                let mut slot = first_err.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-            }
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                if let Some(p) = p.lock().take() {
-                    match first_err.lock().take() {
-                        Some(e) => p.poison(e),
-                        None => p.put(()),
-                    }
-                }
-            }
-        });
+        join.arm(fut);
     }
     f
 }
@@ -603,6 +637,7 @@ pub fn when_all<T: Send + 'static>(futures: &[Future<T>]) -> Future<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
     use std::time::Duration;

@@ -14,7 +14,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::copy::CopyRegistry;
 use crate::event::{Wake, WakeHub};
 use crate::module::{ModuleError, SchedulerModule};
-use crate::promise::{Future, OutputOf, Promise, TaskError};
+use crate::promise::{Future, Join, OutputOf, Promise, TaskError};
 use crate::scheduler::Scheduler;
 use crate::stats::{ModuleStats, SchedStatsSnapshot};
 use crate::task::{BodyKind, FinishScope, Task, TaskBody};
@@ -131,6 +131,16 @@ fn make_task(body: TaskBody, place: PlaceId, scope: Option<Arc<FinishScope>>) ->
         scope,
         trace_id,
         spawn_ns,
+    }
+}
+
+/// Settles a predicated task, already checked into `scope`, whose
+/// dependency was poisoned with `err`: its body has been dropped unrun.
+/// Fails the scope before checking out (see `FinishScope::fail`).
+fn fail_dependent(scope: Option<Arc<FinishScope>>, err: TaskError) {
+    if let Some(scope) = scope {
+        scope.fail(TaskError::new(format!("dependency poisoned: {}", err)));
+        scope.check_out();
     }
 }
 
@@ -386,22 +396,17 @@ impl Runtime {
         f: impl FnOnce() + Send + 'static,
     ) {
         let scope = self.current_scope_checked_in();
+        // Wrapped now, so the continuation fits in 48 bytes and stays inline in
+        // the dependency's waiter slot.
+        let (body, kind) = TaskBody::new(f);
         let rt = self.clone();
         let dep2 = dep.clone();
-        dep.on_ready(move || {
-            if let Some(err) = dep2.poison_error() {
-                // The dependency failed: propagate instead of running the
-                // dependent body. Fail before check-out (see FinishScope).
-                if let Some(scope) = scope {
-                    scope.fail(TaskError::new(format!("dependency poisoned: {}", err)));
-                    scope.check_out();
-                }
-                return;
+        dep.on_ready(move || match dep2.poison_error() {
+            None => rt.enqueue_prechecked(make_task(body, place, scope), kind),
+            Some(err) => {
+                drop(body);
+                fail_dependent(scope, err);
             }
-            // The body is wrapped when the dependency fires — usually on the
-            // completer's worker thread, so the slot comes off its free list.
-            let (body, kind) = TaskBody::new(f);
-            rt.enqueue_prechecked(make_task(body, place, scope), kind);
         });
     }
 
@@ -431,10 +436,30 @@ impl Runtime {
         future
     }
 
-    /// Creates a task predicated on *all* of `deps`.
+    /// Creates a task predicated on *all* of `deps`. Fail-fast like
+    /// [`spawn_await_at`](Self::spawn_await_at), with the first-observed
+    /// poison. One allocation: a join holding the body, whose last arrival
+    /// wraps the body in a slab slot and enqueues it.
     pub fn spawn_await_all(&self, deps: &[Future<()>], f: impl FnOnce() + Send + 'static) {
-        let all = crate::promise::when_all(deps);
-        self.spawn_await(&all, f);
+        let place = self.here();
+        if deps.is_empty() {
+            return self.spawn_at(place, f);
+        }
+        let scope = self.current_scope_checked_in();
+        let rt = self.clone();
+        let join = Join::new(deps.len(), move |err| match err {
+            None => {
+                let (body, kind) = TaskBody::new(f);
+                rt.enqueue_prechecked(make_task(body, place, scope), kind);
+            }
+            Some(err) => {
+                drop(f);
+                fail_dependent(scope, err);
+            }
+        });
+        for dep in deps {
+            join.arm(dep);
+        }
     }
 
     /// `finish`: runs `f` inline and then blocks the calling *task* until

@@ -13,21 +13,24 @@
 //! the global allocator once per spawn and once per drop, from different
 //! threads (spawner allocates, executor frees), which is the worst case for
 //! most allocators. [`TaskBody`] replaces the box with recycled fixed-size
-//! *slots*: a spawn pops a slot from the spawning thread's free list (or
-//! allocates one on a miss), writes the closure inline, and the executing
-//! worker returns the slot to *its own* free list after the closure runs.
-//! In steady state the slots circulate through the pool and the allocator is
-//! out of the loop entirely. Closures bigger than [`SLOT_PAYLOAD_BYTES`]
-//! (or over-aligned ones) fall back to plain boxing.
+//! *slots*: a spawn pops a slot from the spawning thread's free list, writes
+//! the closure inline, and the executing worker returns the slot to *its
+//! own* free list after the closure runs. Producers and executors are often
+//! different threads, so the lists meet in a capped process-wide depot: a
+//! full list hands it a magazine of slots, and an empty one takes a magazine
+//! before it calls the allocator. In steady state the slots circulate and
+//! the allocator is out of the loop entirely. Closures bigger than
+//! [`SLOT_PAYLOAD_BYTES`] (or over-aligned ones) fall back to plain boxing.
 
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::mem::{self, MaybeUninit};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use hiper_platform::PlaceId;
+use parking_lot::Mutex;
 
 use crate::event::{WaitCell, WakeHub};
 use crate::promise::TaskError;
@@ -40,10 +43,14 @@ pub(crate) const SLOT_PAYLOAD_BYTES: usize = 128;
 
 const SLOT_WORDS: usize = SLOT_PAYLOAD_BYTES / mem::size_of::<usize>();
 
-/// Free slots a thread keeps for reuse before handing excess back to the
-/// allocator. 256 slots ≈ 36 KiB per thread, enough to absorb a deep spawn
-/// burst without unbounded growth.
+/// Free slots a thread keeps for reuse. 256 slots ≈ 36 KiB per thread.
 const SLAB_MAX_FREE: usize = 256;
+
+/// Slots moved at once between a thread's free list and the depot.
+const MAGAZINE: usize = 128;
+
+/// Hard cap on the depot: 8 192 slots ≈ 1.2 MB. Past it, slots are freed.
+const DEPOT_MAX: usize = 8192;
 
 /// A recyclable task slot: erased call/drop entry points plus word-aligned
 /// inline storage for the closure.
@@ -69,14 +76,24 @@ impl Drop for SlabCache {
 }
 
 thread_local! {
-    /// Per-thread slot free list. Workers are the main users; external
-    /// threads allocate on spawn and the executing worker recycles, so an
-    /// external-heavy workload degrades to today's per-spawn allocation,
-    /// never worse.
+    /// Per-thread slot free list, backed by the shared depot.
     static SLAB: RefCell<SlabCache> = const {
         RefCell::new(SlabCache { free: Vec::new() })
     };
 }
+
+/// Dead slots (payload dropped or moved out) shared by every thread: a
+/// thread whose free list is full hands a magazine here, and a thread whose
+/// list is empty takes one before it calls the allocator, so a producer's
+/// burst is fed by the slots its consumers freed. The lock is taken once
+/// per magazine, and never waited for: a thread that finds it held acts as
+/// if the depot were empty (or full), so a preempted holder stalls nobody.
+struct Depot(Vec<NonNull<Slot>>);
+
+// SAFETY: the slots are dead and owned by whoever holds them.
+unsafe impl Send for Depot {}
+
+static DEPOT: Mutex<Depot> = Mutex::new(Depot(Vec::new()));
 
 fn alloc_slot() -> NonNull<Slot> {
     let layout = std::alloc::Layout::new::<Slot>();
@@ -91,25 +108,44 @@ unsafe fn dealloc_slot(p: NonNull<Slot>) {
     std::alloc::dealloc(p.as_ptr() as *mut u8, std::alloc::Layout::new::<Slot>());
 }
 
-/// Pops a slot from the calling thread's free list, or allocates on a miss.
-/// The bool is `true` on a recycle hit.
+/// Pops a slot from the calling thread's free list, refilling an empty list
+/// with a magazine from the depot, or allocates on a miss. The bool is
+/// `true` on a recycle hit.
 fn acquire_slot() -> (NonNull<Slot>, bool) {
     // try_with: during thread teardown the cache may already be destroyed;
     // fall back to plain allocation rather than panicking.
-    match SLAB.try_with(|c| c.borrow_mut().free.pop()) {
+    let hit = SLAB.try_with(|c| {
+        let free = &mut c.borrow_mut().free;
+        if free.is_empty() {
+            if let Some(mut depot) = DEPOT.try_lock() {
+                let n = depot.0.len();
+                free.extend(depot.0.drain(n.saturating_sub(MAGAZINE)..));
+            }
+        }
+        free.pop()
+    });
+    match hit {
         Ok(Some(p)) => (p, true),
         _ => (alloc_slot(), false),
     }
 }
 
 /// Returns a dead slot (payload already dropped or moved out) to the calling
-/// thread's free list, deallocating if the list is full or gone.
+/// thread's free list. A full list first hands a magazine to the depot; the
+/// slot is deallocated only if the depot is full too, or the list is gone.
 fn release_slot(p: NonNull<Slot>) {
     let kept = SLAB
         .try_with(|c| {
-            let mut c = c.borrow_mut();
-            if c.free.len() < SLAB_MAX_FREE {
-                c.free.push(p);
+            let free = &mut c.borrow_mut().free;
+            if free.len() >= SLAB_MAX_FREE {
+                if let Some(mut depot) = DEPOT.try_lock() {
+                    if depot.0.len() + MAGAZINE <= DEPOT_MAX {
+                        depot.0.extend(free.drain(free.len() - MAGAZINE..));
+                    }
+                }
+            }
+            if free.len() < SLAB_MAX_FREE {
+                free.push(p);
                 true
             } else {
                 false
@@ -264,11 +300,6 @@ impl std::fmt::Debug for Task {
     }
 }
 
-// Failure-slot states for FinishScope.
-const FAIL_NONE: u8 = 0;
-const FAIL_WRITING: u8 = 1;
-const FAIL_SET: u8 = 2;
-
 /// A `finish` scope: blocks its creator until every task transitively
 /// spawned inside it has completed (paper §II-B4).
 ///
@@ -286,19 +317,10 @@ pub struct FinishScope {
     waiter: Option<usize>,
     /// Where a waiter that cannot help (external, depth-capped) parks.
     pub(crate) cell: WaitCell,
-    /// State of the failure slot below: NONE → WRITING (one winner) → SET.
-    /// Lock-free so the scope stays mutex-free end to end; see `fail`.
-    fail_state: AtomicU8,
     /// First task failure recorded under this scope, if any; `finish`
-    /// surfaces it as its `Err` once the scope drains. Written exactly once,
-    /// while `fail_state == WRITING`; read only after observing SET.
-    failed: UnsafeCell<Option<TaskError>>,
+    /// surfaces it as its `Err` once the scope drains. See `fail`.
+    failed: OnceLock<TaskError>,
 }
-
-// SAFETY: `failed` is only written by the single thread that won the
-// NONE→WRITING CAS and only read after an Acquire load observed SET.
-unsafe impl Send for FinishScope {}
-unsafe impl Sync for FinishScope {}
 
 impl FinishScope {
     /// Creates a scope with the body's own check-in already counted.
@@ -309,42 +331,24 @@ impl FinishScope {
             hub,
             waiter,
             cell: WaitCell::default(),
-            fail_state: AtomicU8::new(FAIL_NONE),
-            failed: UnsafeCell::new(None),
+            failed: OnceLock::new(),
         })
     }
 
     /// Records a task failure; the first error wins (later failures of the
-    /// same scope are dropped, matching the old mutex behavior). Must happen
-    /// *before* the failing task's `check_out`: the release half of that
-    /// `fetch_sub` publishes the SET store to whichever thread observes the
-    /// drained counter, so the `finish` waiter cannot see a drained scope
-    /// without also seeing the error.
+    /// same scope are dropped). Must happen *before* the failing task's
+    /// `check_out`: the release half of that `fetch_sub` publishes the
+    /// error to whichever thread observes the drained counter, so the
+    /// `finish` waiter cannot see a drained scope without also seeing it.
     pub(crate) fn fail(&self, err: TaskError) {
-        if self
-            .fail_state
-            .compare_exchange(
-                FAIL_NONE,
-                FAIL_WRITING,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            unsafe { *self.failed.get() = Some(err) };
-            self.fail_state.store(FAIL_SET, Ordering::Release);
-        }
+        let _ = self.failed.set(err);
     }
 
     /// The first recorded failure, if any. (A failure still being written by
     /// a concurrent `fail` reads as `None`; `finish` only calls this after
     /// the scope drained, which orders it after any `fail`.)
     pub fn error(&self) -> Option<TaskError> {
-        if self.fail_state.load(Ordering::Acquire) == FAIL_SET {
-            unsafe { (*self.failed.get()).clone() }
-        } else {
-            None
-        }
+        self.failed.get().cloned()
     }
 
     /// Registers one more task under this scope.

@@ -11,7 +11,7 @@ pub fn vec<S: Strategy>(elem: S, len: Range<usize>) -> VecStrategy<S> {
     VecStrategy { elem, len }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     elem: S,

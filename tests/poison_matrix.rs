@@ -14,7 +14,7 @@ use hiper::mpi::MpiModule;
 use hiper::netsim::{Cluster, NetConfig};
 use hiper::platform::autogen;
 use hiper::prelude::*;
-use hiper::runtime::TaskError;
+use hiper::runtime::{when_all, TaskError};
 use hiper::upcxx::{GlobalPtr, UpcxxModule, UpcxxWorld};
 
 const UPSTREAM: &str = "poison-matrix upstream failure";
@@ -155,6 +155,86 @@ fn spawn_future_await_skips_its_body_and_carries_the_upstream_error() {
         });
         assert_eq!(got, 40);
         rt.shutdown();
+    });
+}
+
+/// `spawn_await_all` on three dependencies whose 2nd is poisoned (`poison`)
+/// or all satisfied, completed before the call (`early`) or after it.
+/// Returns the finish scope's outcome and whether the body ran.
+fn spawn_await_all_row(rt: &Runtime, poison: bool, early: bool) -> (Result<(), TaskError>, bool) {
+    let (ran, ran2) = flag();
+    let rt2 = rt.clone();
+    let scope = rt.block_on(move || {
+        let deps: Vec<Promise<()>> = (0..3).map(|_| Promise::new()).collect();
+        let futs: Vec<Future<()>> = deps.iter().map(Promise::future).collect();
+        let settle = move || {
+            for (i, p) in deps.into_iter().enumerate() {
+                if i == 1 && poison {
+                    p.poison(upstream());
+                } else {
+                    p.put(());
+                }
+            }
+        };
+        let body = move || ran2.store(true, Ordering::SeqCst);
+        finish(|| {
+            if early {
+                settle();
+                rt2.spawn_await_all(&futs, body);
+            } else {
+                rt2.spawn_await_all(&futs, body);
+                settle();
+            }
+        })
+    });
+    (scope, ran.load(Ordering::SeqCst))
+}
+
+fn check_spawn_await_all(early: bool) {
+    row(|| {
+        let rt = Runtime::new(autogen::smp(2));
+        let (scope, ran) = spawn_await_all_row(&rt, true, early);
+        let err = scope.expect_err("the finish scope fails");
+        assert!(err.message.contains("dependency poisoned: "), "{}", err);
+        assert!(err.message.contains(UPSTREAM), "{}", err);
+        assert!(!ran, "predicated body ran on poison");
+
+        let (scope, ran) = spawn_await_all_row(&rt, false, early);
+        assert!(scope.is_ok(), "{:?}", scope);
+        assert!(ran, "predicated body did not run");
+        rt.shutdown();
+    });
+}
+
+#[test]
+fn spawn_await_all_skips_its_body_when_a_pending_dependency_is_poisoned() {
+    check_spawn_await_all(false);
+}
+
+#[test]
+fn spawn_await_all_skips_its_body_when_a_completed_dependency_is_poisoned() {
+    check_spawn_await_all(true);
+}
+
+#[test]
+fn when_all_carries_the_first_observed_error() {
+    row(|| {
+        let ps: Vec<Promise<()>> = (0..3).map(|_| Promise::new()).collect();
+        let all = when_all(&ps.iter().map(Promise::future).collect::<Vec<_>>());
+        let mut ps = ps.into_iter();
+        let (first, second, third) = (ps.next().unwrap(), ps.next().unwrap(), ps.next().unwrap());
+        second.poison(upstream());
+        third.poison(TaskError::new("a later failure"));
+        assert!(!all.is_complete(), "waits for every input");
+        first.put(());
+        assert_carries(&all, UPSTREAM);
+
+        let ps: Vec<Promise<()>> = (0..3).map(|_| Promise::new()).collect();
+        let all = when_all(&ps.iter().map(Promise::future).collect::<Vec<_>>());
+        for p in ps {
+            p.put(());
+        }
+        assert!(all.is_ready());
     });
 }
 
