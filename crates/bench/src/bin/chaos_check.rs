@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hiper_bench::isx::{self, IsxParams};
-use hiper_bench::supervised::{self, SupervisedOutcome};
+use hiper_bench::supervised;
 use hiper_bench::util::{
     metrics_session, print_net_stats, print_rank_stats, print_reliable_stats, stats_enabled,
     trace_session,
@@ -26,11 +26,7 @@ use hiper_bench::util::{
 use hiper_bench::uts::{self, UtsParams};
 use hiper_checkpoint::CheckpointModule;
 use hiper_mpi::{MpiModule, ReduceOp};
-use hiper_netsim::{
-    FaultPlan, KillSpec, NetConfig, NetStatsSnapshot, ReliableTransport, RetryConfig, SpmdBuilder,
-    SupervisedCtx, SupervisorHarness,
-};
-use hiper_runtime::supervisor::RecoveryError;
+use hiper_netsim::{FaultPlan, NetConfig, NetStatsSnapshot, SpmdBuilder};
 use hiper_runtime::{RuntimeBuilder, SchedulerModule};
 use hiper_shmem::{ShmemModule, ShmemWorld};
 
@@ -302,135 +298,35 @@ fn run_checkpoint_restart() -> bool {
 // Recovery grid: kill-mid-run, restore from checkpoint, replay
 // ---------------------------------------------------------------------
 
-/// Runs ISx and UTS with a seeded rank kill mid-run: the recovered run's
-/// digest must be bit-identical to the fault-free supervised baseline, and
-/// a second run from the same seed must reproduce it again (determinism).
-/// Returns (pass, per-scenario JSON fragments).
-fn run_recovery_grid(seed: u64) -> (bool, Vec<String>) {
-    let rounds = 3u64;
+/// Runs the recovery grid ([`supervised::run_recovery_grid`]) and prints
+/// one line per cell. Returns (pass, per-scenario JSON fragments).
+fn print_recovery_grid(seed: u64) -> (bool, Vec<String>) {
     let mut pass = true;
     let mut json = Vec::new();
-    for (name, nranks, runner) in [
-        (
-            "isx",
-            4usize,
-            supervised::run_supervised_isx as fn(Option<KillSpec>, u64) -> SupervisedOutcome,
-        ),
-        (
-            "uts",
-            2usize,
-            supervised::run_supervised_uts as fn(Option<KillSpec>, u64) -> SupervisedOutcome,
-        ),
-    ] {
-        let kill = KillSpec::seeded(seed ^ name.len() as u64, nranks, rounds);
-        let baseline = runner(None, rounds);
-        let killed = runner(Some(kill.clone()), rounds);
-        let killed2 = runner(Some(kill.clone()), rounds);
-        let identical = killed.digest == baseline.digest;
-        let deterministic = killed2.digest == killed.digest;
-        let recovered = killed.recoveries >= 1 && killed.ranks_recovered >= 1;
-        let ok = identical && deterministic && recovered;
-        pass &= ok;
+    for cell in supervised::run_recovery_grid(seed) {
+        pass &= cell.ok();
+        let ms = cell.killed.elapsed.as_secs_f64() * 1e3;
         println!(
             "  recovery/{:<6} kill rank {} at point {:?}: {:>7.1} ms  recoveries={} {}",
-            name,
-            kill.rank,
-            kill.at_points,
-            killed.elapsed.as_secs_f64() * 1e3,
-            killed.recoveries,
-            if ok {
-                "OK"
-            } else if !identical {
-                "DIGEST MISMATCH"
-            } else if !deterministic {
-                "NON-DETERMINISTIC"
-            } else {
-                "NO RECOVERY DRIVEN"
-            }
+            cell.name,
+            cell.kill.rank,
+            cell.kill.at_points,
+            ms,
+            cell.killed.recoveries,
+            cell.verdict()
         );
         json.push(format!(
             "        {{ \"scenario\": \"{}\", \"victim\": {}, \"kill_points\": {:?}, \"ms\": {:.2}, \"recoveries\": {}, \"identical_to_baseline\": {}, \"deterministic\": {} }}",
-            name,
-            kill.rank,
-            kill.at_points,
-            killed.elapsed.as_secs_f64() * 1e3,
-            killed.recoveries,
-            identical,
-            deterministic
+            cell.name,
+            cell.kill.rank,
+            cell.kill.at_points,
+            ms,
+            cell.killed.recoveries,
+            cell.identical,
+            cell.deterministic
         ));
     }
     (pass, json)
-}
-
-/// Degradation scenario: kill a rank that never checkpointed. The recovery
-/// must fail terminally (`NoCheckpoint`), the peer must see the typed
-/// `Unreachable` error within its retry budget, and — when
-/// `HIPER_WATCHDOG_FILE` is set (the CI artifact path) — a flight record is
-/// dumped for post-mortem. Returns true when the degradation is clean.
-fn run_degradation() -> bool {
-    use std::sync::atomic::AtomicBool;
-    let dir = std::env::temp_dir().join("hiper_chaos_degrade");
-    let _ = std::fs::remove_dir_all(&dir);
-    let harness = SupervisorHarness::new(
-        2,
-        Some(KillSpec {
-            rank: 0,
-            at_points: vec![1],
-        }),
-        3,
-    );
-    let h_main = Arc::clone(&harness);
-    let dead = Arc::new(AtomicBool::new(false));
-    let outcomes = SpmdBuilder::new(2)
-        .faults(FaultPlan::seeded(1).arm())
-        .platform(|_| hiper_platform::autogen::figure2(1))
-        .run(
-            move |rank, transport| {
-                let ckpt = CheckpointModule::new(dir.join(format!("r{}", rank)));
-                let cfg = RetryConfig {
-                    timeout: Duration::from_millis(1),
-                    backoff: 2.0,
-                    max_timeout: Duration::from_millis(4),
-                    max_attempts: 4,
-                };
-                let ep = ReliableTransport::new(transport, "chaos", cfg);
-                ep.register_handler(hiper_netsim::Channel::APP, Box::new(|_| {}));
-                (
-                    vec![Arc::clone(&ckpt) as Arc<dyn SchedulerModule>],
-                    (ckpt, ep),
-                )
-            },
-            move |env, (ckpt, ep)| {
-                h_main.register(
-                    env.rank,
-                    env.runtime.clone(),
-                    Arc::clone(&ep),
-                    env.transport.engine(),
-                );
-                if env.rank == 1 {
-                    while !dead.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    ep.send(
-                        0,
-                        hiper_netsim::Channel::APP,
-                        1,
-                        bytes::Bytes::from_static(b"ping"),
-                    );
-                    let deadline = Instant::now() + Duration::from_secs(10);
-                    while Instant::now() < deadline && ep.health().is_ok() {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    return ep.health().is_err();
-                }
-                let ctx = SupervisedCtx::new(Arc::clone(&h_main), ckpt, env.rank);
-                let out = ctx.run_supervised(|_| {}, |_| ctx.crash_point());
-                dead.store(true, Ordering::Release);
-                matches!(out, Err(RecoveryError::NoCheckpoint))
-            },
-        );
-    harness.shutdown();
-    outcomes.iter().all(|&ok| ok)
 }
 
 fn main() {
@@ -443,8 +339,8 @@ fn main() {
     if recovery_only {
         // CI recovery job: just the kill-mid-run grid + the degradation
         // scenario (flight-record artifact via HIPER_WATCHDOG_FILE).
-        let (grid_ok, _) = run_recovery_grid(seed);
-        let degrade_ok = run_degradation();
+        let (grid_ok, _) = print_recovery_grid(seed);
+        let degrade_ok = supervised::run_degradation();
         println!(
             "  degradation (kill with no checkpoint): {}",
             if degrade_ok { "OK" } else { "FAILED" }
@@ -524,9 +420,9 @@ fn main() {
         if ckpt_ok { "OK" } else { "FAILED" }
     );
 
-    let (recovery_ok, recovery_json) = run_recovery_grid(seed);
+    let (recovery_ok, recovery_json) = print_recovery_grid(seed);
     all_pass &= recovery_ok;
-    let degrade_ok = run_degradation();
+    let degrade_ok = supervised::run_degradation();
     all_pass &= degrade_ok;
     println!(
         "  degradation (kill with no checkpoint): {}",

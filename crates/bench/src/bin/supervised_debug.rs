@@ -6,9 +6,8 @@
 //! ```
 //!
 //! With `--trace` (or `HIPER_TRACE`) the run is recorded as a Chrome trace;
-//! a `--kill` run then carries `rank_down`/`rank_restored`/`task_retry`
-//! events that `trace_check` validates (pairing, epoch order, delivery
-//! blackout).
+//! a `--kill` run then carries `rank_down`/`rank_restored` events that
+//! `trace_check` validates (pairing, epoch order, delivery blackout).
 
 use hiper_bench::{supervised, util};
 use hiper_netsim::KillSpec;

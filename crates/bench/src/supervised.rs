@@ -18,8 +18,8 @@
 //!
 //! Digests are accumulated per round inside the checkpointed state, so a
 //! killed-and-recovered run must reproduce the fault-free digest **bit for
-//! bit** — that is the acceptance criterion `chaos_check --recovery`
-//! enforces.
+//! bit** — that is the acceptance criterion of [`run_recovery_grid`], which
+//! `chaos_check --recovery` and the root `tests/recovery_grid.rs` run.
 //!
 //! Rank-count constraints: what a UTS rank hands over depends on which of
 //! its peers' requests it sees first, that is, on the order they arrive in,
@@ -28,12 +28,15 @@
 //! (put at absolute offsets, fetch-add reservations) commute, so 4 ranks
 //! are safe.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hiper_checkpoint::CheckpointModule;
-use hiper_netsim::{FaultPlan, KillSpec, NetConfig, SpmdBuilder, SupervisedCtx, SupervisorHarness};
+use hiper_netsim::{
+    Channel, FaultPlan, KillSpec, NetConfig, RecoveryError, ReliableTransport, RetryConfig,
+    SpmdBuilder, SupervisedCtx, SupervisorHarness,
+};
 use hiper_runtime::SchedulerModule;
 use hiper_shmem::{ShmemModule, ShmemWorld};
 use parking_lot::Mutex;
@@ -48,8 +51,8 @@ pub struct SupervisedOutcome {
     pub digest: Vec<Vec<u64>>,
     /// Recovery attempts driven for the victim rank (0 when no kill).
     pub recoveries: u32,
-    /// `ranks_recovered` summed over every rank's scheduler stats.
-    pub ranks_recovered: u64,
+    /// Recoveries of the victim rank that completed.
+    pub completed: u32,
     /// Wall-clock for the cluster run.
     pub elapsed: Duration,
 }
@@ -73,8 +76,6 @@ fn run_supervised_rounds(
     let victim = kill.as_ref().map(|k| k.rank);
     let harness = SupervisorHarness::new(nranks, kill, 4);
     let h_main = Arc::clone(&harness);
-    let recovered = Arc::new(AtomicU64::new(0));
-    let rec2 = Arc::clone(&recovered);
     let t0 = Instant::now();
 
     let digest = SpmdBuilder::new(nranks)
@@ -101,7 +102,6 @@ fn run_supervised_rounds(
             move |env, (shmem, ckpt)| {
                 h_main.register(
                     env.rank,
-                    env.runtime.clone(),
                     Arc::clone(shmem.raw().reliable()),
                     env.transport.engine(),
                 );
@@ -117,79 +117,67 @@ fn run_supervised_rounds(
                 let round_fn = Arc::clone(&round_fn);
                 let shmem2 = Arc::clone(&shmem);
 
-                let digest = ctx
-                    .run_supervised(
-                        |bytes| {
-                            // Layout: [raw_len u64][raw][next u64]
-                            //         [dlen u64][digest..][heap..]
-                            let rd = |off: usize| {
-                                u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
-                            };
-                            let raw_len = rd(0) as usize;
-                            raw.restore_state(&bytes[8..8 + raw_len]);
-                            let mut off = 8 + raw_len;
-                            let next = rd(off);
-                            let dlen = rd(off + 8) as usize;
-                            off += 16;
-                            let digest: Vec<u64> = (0..dlen).map(|i| rd(off + i * 8)).collect();
-                            off += dlen * 8;
-                            heap.write_bytes(0, &bytes[off..]);
-                            *state.lock() = (next, digest);
-                        },
-                        |_attempt| {
-                            while state.lock().0 < rounds {
-                                let round = state.lock().0;
-                                raw.reset_alloc(base_alloc);
-                                let d = round_fn(&shmem2, round);
-                                shmem2.barrier_all();
-                                {
-                                    let mut st = state.lock();
-                                    st.1.extend(d);
-                                    st.0 += 1;
-                                }
-                                ctx.checkpoint(|| {
-                                    let raw_img = raw.state_snapshot();
-                                    let (next, ref digest) = *state.lock();
-                                    let mut out = Vec::with_capacity(
-                                        24 + raw_img.len() + digest.len() * 8 + heap.len(),
-                                    );
-                                    out.extend_from_slice(&(raw_img.len() as u64).to_le_bytes());
-                                    out.extend_from_slice(&raw_img);
-                                    out.extend_from_slice(&next.to_le_bytes());
-                                    out.extend_from_slice(&(digest.len() as u64).to_le_bytes());
-                                    for d in digest {
-                                        out.extend_from_slice(&d.to_le_bytes());
-                                    }
-                                    let mut img = vec![0u8; heap.len()];
-                                    heap.read_bytes(0, &mut img);
-                                    out.extend_from_slice(&img);
-                                    out
-                                });
-                                ctx.crash_point();
+                ctx.run_supervised(
+                    |bytes| {
+                        // Layout: [raw_len u64][raw][next u64]
+                        //         [dlen u64][digest..][heap..]
+                        let rd = |off: usize| {
+                            u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
+                        };
+                        let raw_len = rd(0) as usize;
+                        raw.restore_state(&bytes[8..8 + raw_len]);
+                        let mut off = 8 + raw_len;
+                        let next = rd(off);
+                        let dlen = rd(off + 8) as usize;
+                        off += 16;
+                        let digest: Vec<u64> = (0..dlen).map(|i| rd(off + i * 8)).collect();
+                        off += dlen * 8;
+                        heap.write_bytes(0, &bytes[off..]);
+                        *state.lock() = (next, digest);
+                    },
+                    |_attempt| {
+                        while state.lock().0 < rounds {
+                            let round = state.lock().0;
+                            raw.reset_alloc(base_alloc);
+                            let d = round_fn(&shmem2, round);
+                            shmem2.barrier_all();
+                            {
+                                let mut st = state.lock();
+                                st.1.extend(d);
+                                st.0 += 1;
                             }
-                            state.lock().1.clone()
-                        },
-                    )
-                    .expect("supervised recovery must succeed");
-                let snap = env.runtime.stats().snapshot();
-                rec2.fetch_add(snap.ranks_recovered, Ordering::Relaxed);
-                digest
+                            ctx.checkpoint(|| {
+                                let raw_img = raw.state_snapshot();
+                                let (next, ref digest) = *state.lock();
+                                let mut out = Vec::with_capacity(
+                                    24 + raw_img.len() + digest.len() * 8 + heap.len(),
+                                );
+                                out.extend_from_slice(&(raw_img.len() as u64).to_le_bytes());
+                                out.extend_from_slice(&raw_img);
+                                out.extend_from_slice(&next.to_le_bytes());
+                                out.extend_from_slice(&(digest.len() as u64).to_le_bytes());
+                                for d in digest {
+                                    out.extend_from_slice(&d.to_le_bytes());
+                                }
+                                let mut img = vec![0u8; heap.len()];
+                                heap.read_bytes(0, &mut img);
+                                out.extend_from_slice(&img);
+                                out
+                            });
+                            ctx.crash_point();
+                        }
+                        state.lock().1.clone()
+                    },
+                )
+                .expect("supervised recovery must succeed")
             },
         );
 
-    let elapsed = t0.elapsed();
-    // Break the harness ↔ engine cycle so this run's reliable endpoints
-    // (and their retry threads) die with it instead of piling up across
-    // the grid.
-    harness.shutdown();
-
     SupervisedOutcome {
         digest,
-        recoveries: victim
-            .map(|v| harness.supervisor().attempts(v as u32))
-            .unwrap_or(0),
-        ranks_recovered: recovered.load(Ordering::Relaxed),
-        elapsed,
+        recoveries: victim.map_or(0, |v| harness.attempts(v)),
+        completed: victim.map_or(0, |v| harness.recoveries(v)),
+        elapsed: t0.elapsed(),
     }
 }
 
@@ -244,4 +232,130 @@ pub fn run_supervised_uts(kill: Option<KillSpec>, rounds: u64) -> SupervisedOutc
             vec![uts::run_hiper(shmem, &params).global_count]
         }),
     )
+}
+
+/// One cell of the recovery grid: a workload killed mid-run under a seeded
+/// schedule, compared with its fault-free supervised baseline.
+pub struct RecoveryCell {
+    /// Workload name (`isx`, `uts`).
+    pub name: &'static str,
+    /// The kill schedule the cell ran under.
+    pub kill: KillSpec,
+    /// The killed run's observables.
+    pub killed: SupervisedOutcome,
+    /// The killed run's digest equals the fault-free baseline's.
+    pub identical: bool,
+    /// A second killed run from the same seed reproduced the digest.
+    pub deterministic: bool,
+}
+
+impl RecoveryCell {
+    /// At least one recovery was started and completed.
+    pub fn recovered(&self) -> bool {
+        self.killed.recoveries >= 1 && self.killed.completed >= 1
+    }
+
+    /// Identical to the baseline, deterministic, and actually recovered.
+    pub fn ok(&self) -> bool {
+        self.identical && self.deterministic && self.recovered()
+    }
+
+    /// `OK`, or the first check that failed.
+    pub fn verdict(&self) -> &'static str {
+        if self.ok() {
+            "OK"
+        } else if !self.identical {
+            "DIGEST MISMATCH"
+        } else if !self.deterministic {
+            "NON-DETERMINISTIC"
+        } else {
+            "NO RECOVERY DRIVEN"
+        }
+    }
+}
+
+/// The recovery grid: ISx and UTS each run fault-free, then twice with the
+/// same seeded rank kill mid-run. The cells share fixed checkpoint
+/// directories under the system temp dir, so two grids must not run at
+/// once in one process.
+pub fn run_recovery_grid(seed: u64) -> Vec<RecoveryCell> {
+    type Runner = fn(Option<KillSpec>, u64) -> SupervisedOutcome;
+    let rounds = 3u64;
+    let grid: [(&'static str, usize, Runner); 2] = [
+        ("isx", 4, run_supervised_isx),
+        ("uts", 2, run_supervised_uts),
+    ];
+    grid.into_iter()
+        .map(|(name, nranks, runner)| {
+            let kill = KillSpec::seeded(seed ^ name.len() as u64, nranks, rounds);
+            let baseline = runner(None, rounds);
+            let killed = runner(Some(kill.clone()), rounds);
+            let killed2 = runner(Some(kill.clone()), rounds);
+            RecoveryCell {
+                name,
+                kill,
+                identical: killed.digest == baseline.digest,
+                deterministic: killed2.digest == killed.digest,
+                killed,
+            }
+        })
+        .collect()
+}
+
+/// Degradation scenario: kill a rank that never checkpointed. The recovery
+/// must fail terminally (`NoCheckpoint`), the peer must see the typed
+/// `Unreachable` error within its retry budget, and — when
+/// `HIPER_WATCHDOG_FILE` is set — a flight record is dumped for
+/// post-mortem. Returns true when the degradation is clean.
+pub fn run_degradation() -> bool {
+    let dir = std::env::temp_dir().join("hiper_chaos_degrade");
+    let _ = std::fs::remove_dir_all(&dir);
+    let h_main = SupervisorHarness::new(
+        2,
+        Some(KillSpec {
+            rank: 0,
+            at_points: vec![1],
+        }),
+        3,
+    );
+    let dead = Arc::new(AtomicBool::new(false));
+    let outcomes = SpmdBuilder::new(2)
+        .faults(FaultPlan::seeded(1).arm())
+        .platform(|_| hiper_platform::autogen::figure2(1))
+        .run(
+            move |rank, transport| {
+                let ckpt = CheckpointModule::new(dir.join(format!("r{}", rank)));
+                let cfg = RetryConfig {
+                    timeout: Duration::from_millis(1),
+                    backoff: 2.0,
+                    max_timeout: Duration::from_millis(4),
+                    max_attempts: 4,
+                };
+                let ep = ReliableTransport::new(transport, "chaos", cfg);
+                ep.register_handler(Channel::APP, Box::new(|_| {}));
+                (
+                    vec![Arc::clone(&ckpt) as Arc<dyn SchedulerModule>],
+                    (ckpt, ep),
+                )
+            },
+            move |env, (ckpt, ep)| {
+                h_main.register(env.rank, Arc::clone(&ep), env.transport.engine());
+                if env.rank == 1 {
+                    while !dead.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    ep.send(0, Channel::APP, 1, bytes::Bytes::from_static(b"ping"));
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while Instant::now() < deadline && ep.health().is_ok() {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    return ep.health().is_err();
+                }
+                let ctx = SupervisedCtx::new(Arc::clone(&h_main), ckpt, env.rank);
+                let out = ctx.run_supervised(|_| {}, |_| ctx.crash_point());
+                dead.store(true, Ordering::Release);
+                matches!(out, Err(RecoveryError::NoCheckpoint))
+            },
+        );
+    outcomes.iter().all(|&ok| ok)
 }

@@ -48,9 +48,4 @@ impl<T> Steal<T> {
     pub fn is_empty(&self) -> bool {
         matches!(self, Steal::Empty)
     }
-
-    /// True if the operation should be retried.
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Steal::Retry)
-    }
 }

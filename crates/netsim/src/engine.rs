@@ -192,22 +192,6 @@ impl std::fmt::Display for NetStatsSnapshot {
 /// Handler invoked (on the engine thread) when a message arrives at a rank.
 pub type Handler = Box<dyn Fn(Message) + Send + Sync>;
 
-/// A rank lifecycle transition driven through [`DeliveryEngine::set_rank_down`]
-/// (supervised kills and recoveries). Listeners registered with
-/// [`DeliveryEngine::on_rank_event`] — e.g. a runtime `Supervisor` — see
-/// every transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RankEvent {
-    /// The rank went down at `at_ns` (trace-clock): all its traffic is
-    /// dropped until it is restored.
-    Down { rank: Rank, at_ns: u64 },
-    /// The rank came back at `at_ns`.
-    Restored { rank: Rank, at_ns: u64 },
-}
-
-/// Rank-event listener callback.
-pub type RankListener = Box<dyn Fn(RankEvent) + Send + Sync>;
-
 /// Callback run once when the engine stops. Reliable endpoints register
 /// one to wake their retry/flush threads immediately instead of waiting
 /// out a full backoff tick against a dead wire.
@@ -415,11 +399,10 @@ pub struct DeliveryEngine {
     ///
     /// [`set_rank_down`]: DeliveryEngine::set_rank_down
     down: Vec<AtomicBool>,
-    /// Like `down`, but *silent*: no trace events, no listener
-    /// notifications, and messages dropped in the window are expected to
-    /// be retransmitted by a reliable layer. [`pause_rank`] uses this to
-    /// carve an atomic cut for checkpoint snapshots (no handler can mutate
-    /// the rank's state while paused).
+    /// Like `down`, but *silent*: no trace events, and messages dropped in
+    /// the window are expected to be retransmitted by a reliable layer.
+    /// [`pause_rank`] uses this to carve an atomic cut for checkpoint
+    /// snapshots (no handler can mutate the rank's state while paused).
     ///
     /// [`pause_rank`]: DeliveryEngine::pause_rank
     paused: Vec<AtomicBool>,
@@ -427,7 +410,6 @@ pub struct DeliveryEngine {
     /// `set_rank_down` waits on it so that once the call returns, no
     /// handler for the dead rank is still mid-delivery.
     delivering: AtomicU64,
-    rank_listeners: Mutex<Vec<RankListener>>,
     stop_hooks: Mutex<Vec<StopHook>>,
     pub stats: NetStats,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -474,7 +456,6 @@ impl DeliveryEngine {
             down: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             paused: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             delivering: AtomicU64::new(0),
-            rank_listeners: Mutex::new(Vec::new()),
             stop_hooks: Mutex::new(Vec::new()),
             stats: NetStats::default(),
             thread: Mutex::new(None),
@@ -505,26 +486,12 @@ impl DeliveryEngine {
         self.handlers.write()[rank * 256 + channel.0 as usize] = Some(Arc::new(handler));
     }
 
-    /// Registers a listener for supervised rank lifecycle transitions.
-    pub fn on_rank_event(&self, f: impl Fn(RankEvent) + Send + Sync + 'static) {
-        self.rank_listeners.lock().push(Box::new(f));
-    }
-
     /// Registers a callback to run when [`stop`](DeliveryEngine::stop)
     /// fires. Reliable endpoints hang their retry-thread condvar wakeup
     /// here so a stopped cluster kills its retry/flush threads immediately
     /// rather than after their next backoff tick.
     pub fn on_stop(&self, f: impl Fn() + Send + Sync + 'static) {
         self.stop_hooks.lock().push(Box::new(f));
-    }
-
-    /// Drops every rank-event listener. Supervised-run teardown: a
-    /// listener closure typically holds the supervisor harness, which
-    /// holds this engine — clearing the vector breaks the reference cycle
-    /// so both (and the reliable endpoints the harness stores, along with
-    /// their retry threads) can actually drop when the run ends.
-    pub fn clear_rank_listeners(&self) {
-        self.rank_listeners.lock().clear();
     }
 
     /// Drops every registered delivery handler. Only valid once the engine
@@ -579,15 +546,13 @@ impl DeliveryEngine {
     /// Marks `rank` as down (supervised kill) or back up (recovery).
     /// While down, every message to or from the rank is dropped (cause 2),
     /// exactly like a [`FaultPlan`] kill window — but driven by the
-    /// supervisor at a deterministic point in the run rather than a
+    /// recovery harness at a deterministic point in the run rather than a
     /// wall-clock offset. On `down = true` the call does not return until
     /// any in-flight delivery to the rank has finished, so the caller can
     /// immediately snapshot or roll back the rank's state without racing a
-    /// handler. Transitions emit `RankDown`/`RankRestored` trace events and
-    /// notify [`on_rank_event`] listeners.
+    /// handler. Transitions emit `RankDown`/`RankRestored` trace events.
     ///
     /// [`FaultPlan`]: crate::FaultPlan
-    /// [`on_rank_event`]: DeliveryEngine::on_rank_event
     pub fn set_rank_down(&self, rank: Rank, down: bool) {
         self.set_rank_state(rank, down, 0);
     }
@@ -614,10 +579,9 @@ impl DeliveryEngine {
                 std::hint::spin_loop();
             }
         }
-        let at_ns = clock::now_ns();
         if hiper_trace::enabled() {
             hiper_trace::emit_at(
-                at_ns,
+                clock::now_ns(),
                 if down {
                     EventKind::RankDown
                 } else {
@@ -627,14 +591,6 @@ impl DeliveryEngine {
                 epoch as u64,
                 0,
             );
-        }
-        let event = if down {
-            RankEvent::Down { rank, at_ns }
-        } else {
-            RankEvent::Restored { rank, at_ns }
-        };
-        for listener in self.rank_listeners.lock().iter() {
-            listener(event);
         }
     }
 

@@ -24,11 +24,11 @@ mod reliable;
 pub mod supervise;
 
 pub use cluster::{Cluster, RankEnv, SpmdBuilder};
-pub use engine::{NetConfig, NetStats, NetStatsSnapshot, RankEvent};
+pub use engine::{NetConfig, NetStats, NetStatsSnapshot};
 pub use fault::{FaultDecision, FaultPlan, Partition, RankKill};
 pub use message::{Channel, Message, Rank};
 pub use reliable::{CoalesceConfig, ReliableStatsSnapshot, ReliableTransport, RetryConfig};
-pub use supervise::{CrashToken, KillSpec, SupervisedCtx, SupervisorHarness};
+pub use supervise::{CrashToken, KillSpec, RecoveryError, SupervisedCtx, SupervisorHarness};
 
 pub use cluster::Transport;
 pub use engine::DeliveryEngine;

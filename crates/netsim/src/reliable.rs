@@ -219,7 +219,7 @@ struct Peer {
     held: BTreeMap<u64, Message>,
     /// Peer exhausted its retry budget; sends to it are discarded.
     dead: bool,
-    /// Supervisor hold: the peer is known-down and being recovered, so the
+    /// Recovery hold: the peer is known-down and being recovered, so the
     /// retry thread neither retransmits nor burns budget toward it.
     quiesced: bool,
     /// Our own `RESTART` toward this peer is not yet `RESTART_ACK`ed.
@@ -702,7 +702,7 @@ impl ReliableTransport {
         }
     }
 
-    /// Supervisor hold on one peer: while quiesced, the retry thread
+    /// Recovery hold on one peer: while quiesced, the retry thread
     /// neither retransmits toward it nor burns its retry budget, and new
     /// sends are queued without touching the wire. Releasing the hold
     /// grants the head-of-line frame a fresh budget and retransmits

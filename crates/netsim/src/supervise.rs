@@ -13,11 +13,12 @@
 //! When a crash point fires, the victim's stack unwinds (a panic payload the
 //! harness recognises, skipping the panic hook) out of the workload body and
 //! into [`SupervisedCtx::run_supervised`], which drives the recovery
-//! sequence the runtime `Supervisor` tracks:
+//! sequence:
 //!
-//! 1. **Detect** — report `RankDown` to the supervisor, claim the recovery
-//!    (the circuit breaker may refuse), sever the rank in the
-//!    [`DeliveryEngine`] so in-flight traffic to/from it drains away.
+//! 1. **Detect** — claim a recovery attempt (the per-rank circuit breaker
+//!    refuses once `max_recoveries_per_rank` attempts are spent), sever the
+//!    rank in the [`DeliveryEngine`] so in-flight traffic to/from it drains
+//!    away.
 //! 2. **Quiesce** — hold every peer's reliable endpoint toward the victim:
 //!    no retransmits, no budget burn, sends queue.
 //! 3. **Restore** — read the newest intact snapshot via
@@ -38,23 +39,46 @@
 //!
 //! If no intact snapshot exists the recovery **degrades**: the rank stays
 //! severed, peers' retry budgets exhaust into the module's typed
-//! `Unreachable` error, a flight record is dumped for post-mortem, and the
-//! supervisor records the rank as terminally `Failed`.
+//! `Unreachable` error, a flight record is dumped for post-mortem, and
+//! [`run_supervised`](SupervisedCtx::run_supervised) returns
+//! [`RecoveryError::NoCheckpoint`]. The trace records every outage as a
+//! `rank_down` / `rank_restored` pair emitted by the engine.
 
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use hiper_checkpoint::CheckpointModule;
-use hiper_runtime::supervisor::{FailureSignal, RecoveryError, RecoveryPhase, Supervisor};
 use hiper_runtime::watchdog;
-use hiper_runtime::Runtime;
 use parking_lot::Mutex;
 
-use crate::engine::{DeliveryEngine, RankEvent};
+use crate::engine::DeliveryEngine;
 use crate::message::Rank;
 use crate::reliable::ReliableTransport;
+
+/// Why a recovery attempt could not complete.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryError {
+    /// No checkpoint snapshot exists for the rank (it died before its
+    /// first checkpoint). The rank degrades to a terminal unreachable.
+    NoCheckpoint,
+    /// The rank's recovery budget is spent; the breaker converts further
+    /// failures into the ordinary typed error path.
+    CircuitOpen,
+}
+
+impl fmt::Display for RecoveryError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecoveryError::NoCheckpoint => write!(f, "no checkpoint available for rank"),
+            RecoveryError::CircuitOpen => write!(f, "recovery circuit breaker open"),
+        }
+    }
+}
+
+impl std::error::Error for RecoveryError {}
 
 /// splitmix64 finalizer (same mixer as [`FaultPlan`](crate::FaultPlan)).
 fn mix(mut z: u64) -> u64 {
@@ -95,75 +119,65 @@ impl KillSpec {
     }
 }
 
-/// Shared state for one supervised run: the runtime [`Supervisor`]
-/// bookkeeping, every rank's reliable endpoint (recovery must quiesce
-/// *peers'* endpoints, not just the victim's), and the kill schedule.
-/// Created by the driver before `SpmdBuilder::run` and cloned into the
-/// per-rank closures.
+/// Shared state for one supervised run: every rank's reliable endpoint
+/// (recovery must quiesce *peers'* endpoints, not just the victim's), the
+/// kill schedule, and the per-rank recovery counts the circuit breaker
+/// checks. Created by the driver before `SpmdBuilder::run` and cloned into
+/// the per-rank closures.
 pub struct SupervisorHarness {
-    supervisor: Supervisor,
     nranks: usize,
     kill: Option<KillSpec>,
+    /// Recovery attempts allowed per rank before the breaker opens.
+    max_recoveries_per_rank: u32,
     endpoints: Mutex<Vec<Option<Arc<ReliableTransport>>>>,
-    runtimes: Mutex<Vec<Option<Runtime>>>,
     engine: Mutex<Option<Arc<DeliveryEngine>>>,
     /// Per-rank crash-point visit counters (increment on every visit,
     /// including replayed iterations).
     crossings: Vec<AtomicU64>,
+    /// Per-rank recovery attempts started (each one the breaker let pass).
+    attempts: Vec<AtomicU32>,
+    /// Per-rank recoveries that completed: the rank is live again.
+    recoveries: Vec<AtomicU32>,
 }
 
 impl SupervisorHarness {
     /// A harness for `nranks` ranks with an optional kill schedule. Each
     /// rank's recovery circuit breaker opens after
-    /// `max_recoveries_per_rank` attempts.
+    /// `max_recoveries_per_rank` attempts (0: every kill degrades).
     pub fn new(nranks: usize, kill: Option<KillSpec>, max_recoveries_per_rank: u32) -> Arc<Self> {
         Arc::new(SupervisorHarness {
-            supervisor: Supervisor::new(max_recoveries_per_rank),
             nranks,
             kill,
+            max_recoveries_per_rank,
             endpoints: Mutex::new(vec![None; nranks]),
-            runtimes: Mutex::new(vec![None; nranks]),
             engine: Mutex::new(None),
             crossings: (0..nranks).map(|_| AtomicU64::new(0)).collect(),
+            attempts: (0..nranks).map(|_| AtomicU32::new(0)).collect(),
+            recoveries: (0..nranks).map(|_| AtomicU32::new(0)).collect(),
         })
     }
 
-    /// The underlying recovery state machine (phase/attempt queries, the
-    /// signal log for tests).
-    pub fn supervisor(&self) -> &Supervisor {
-        &self.supervisor
+    /// Recovery attempts started for `rank` so far.
+    pub fn attempts(&self, rank: Rank) -> u32 {
+        self.attempts[rank].load(Ordering::Relaxed)
+    }
+
+    /// Recoveries of `rank` that completed (the rank came back live).
+    pub fn recoveries(&self, rank: Rank) -> u32 {
+        self.recoveries[rank].load(Ordering::Relaxed)
     }
 
     /// Wires one rank into the harness: stores its reliable endpoint and
-    /// runtime handle, and (first call only) subscribes the supervisor to
-    /// the engine's rank lifecycle events.
+    /// (first call only) the engine every rank shares.
     pub fn register(
-        self: &Arc<Self>,
+        &self,
         rank: Rank,
-        runtime: Runtime,
         endpoint: Arc<ReliableTransport>,
         engine: &Arc<DeliveryEngine>,
     ) {
         endpoint.enable_retention();
         self.endpoints.lock()[rank] = Some(endpoint);
-        self.runtimes.lock()[rank] = Some(runtime);
-        let mut slot = self.engine.lock();
-        if slot.is_none() {
-            *slot = Some(engine.clone());
-            let sup = self.clone();
-            engine.on_rank_event(move |ev| match ev {
-                RankEvent::Down { rank, at_ns } => sup.supervisor.report(FailureSignal::RankDown {
-                    rank: rank as u32,
-                    at_ns,
-                }),
-                RankEvent::Restored { rank, at_ns } => {
-                    sup.supervisor.report(FailureSignal::RankRestored {
-                        rank: rank as u32,
-                        at_ns,
-                    })
-                }
-            });
-        }
+        self.engine.lock().get_or_insert_with(|| engine.clone());
     }
 
     /// A cooperative crash point. Every rank calls this once per iteration
@@ -199,29 +213,6 @@ impl SupervisorHarness {
         self.crossings[rank].load(Ordering::Relaxed)
     }
 
-    /// Tears the harness down after a run. [`register`] builds a reference
-    /// cycle — harness → engine → rank-event listener closure → harness —
-    /// so without this call the harness, the engine, every stored reliable
-    /// endpoint *and its retry thread* outlive the run forever; a process
-    /// that runs many supervised clusters back to back (the recovery grid)
-    /// accumulates orphan retry threads that keep retransmitting into
-    /// stopped engines and skew later measurements. Supervisor bookkeeping
-    /// (attempt counts, the signal log) stays readable afterwards.
-    ///
-    /// [`register`]: SupervisorHarness::register
-    pub fn shutdown(&self) {
-        for slot in self.endpoints.lock().iter_mut() {
-            *slot = None;
-        }
-        for slot in self.runtimes.lock().iter_mut() {
-            *slot = None;
-        }
-        if let Some(engine) = self.engine.lock().take() {
-            engine.clear_rank_listeners();
-            engine.clear_handlers();
-        }
-    }
-
     fn endpoint(&self, rank: Rank) -> Arc<ReliableTransport> {
         loop {
             if let Some(ep) = self.endpoints.lock()[rank].clone() {
@@ -243,12 +234,6 @@ impl SupervisorHarness {
                 continue;
             }
             self.endpoint(r).quiesce_peer(victim, on);
-        }
-    }
-
-    fn bump_stat(&self, rank: Rank, f: impl Fn(&hiper_runtime::SchedStats)) {
-        if let Some(rt) = &self.runtimes.lock()[rank] {
-            f(rt.stats());
         }
     }
 }
@@ -345,26 +330,22 @@ impl SupervisedCtx {
     /// severed (degradation: peers' budgets exhaust into `Unreachable`).
     fn recover(&self, restore: &mut dyn FnMut(&[u8])) -> Result<(), RecoveryError> {
         let rank = self.rank;
-        let sup = self.harness.supervisor();
         let engine = self.harness.engine();
 
-        sup.report(FailureSignal::RankDown {
-            rank: rank as u32,
-            at_ns: hiper_trace::clock::now_ns(),
-        });
-        if let Err(e) = sup.begin_recovery(rank as u32) {
-            self.harness
-                .bump_stat(rank, |s| s.recovery_failed(usize::MAX));
+        // The circuit breaker: only this rank's own thread recovers it, so
+        // the check and the bump cannot race.
+        let attempts = &self.harness.attempts[rank];
+        if attempts.load(Ordering::Relaxed) >= self.harness.max_recoveries_per_rank {
             self.dump_flight_record("recovery circuit breaker open");
-            return Err(e);
+            return Err(RecoveryError::CircuitOpen);
         }
+        attempts.fetch_add(1, Ordering::Relaxed);
 
-        // Sever the rank (emits the RankDown trace event and notifies
-        // listeners) and hold every peer's retransmits toward it.
+        // Sever the rank (emits the RankDown trace event) and hold every
+        // peer's retransmits toward it.
         engine.set_rank_down(rank, true);
         self.harness.quiesce_peers(rank, true);
 
-        sup.advance(rank as u32, RecoveryPhase::Restoring);
         let restored = self
             .ckpt
             .restore_latest(&self.name)
@@ -375,9 +356,6 @@ impl SupervisedCtx {
                 // Degrade: no intact snapshot. The rank stays severed;
                 // releasing the peer holds lets their budgets exhaust into
                 // the module's typed Unreachable error instead of hanging.
-                self.harness
-                    .bump_stat(rank, |s| s.recovery_failed(usize::MAX));
-                sup.mark_failed(rank as u32);
                 self.dump_flight_record("rank recovery failed: no intact checkpoint");
                 self.harness.quiesce_peers(rank, false);
                 return Err(RecoveryError::NoCheckpoint);
@@ -410,15 +388,7 @@ impl SupervisedCtx {
         let epoch = ep.restart(&wms);
         debug_assert_eq!(epoch, new_epoch);
         self.harness.quiesce_peers(rank, false);
-
-        sup.advance(rank as u32, RecoveryPhase::Replaying);
-        self.harness
-            .bump_stat(rank, |s| s.rank_recovered(usize::MAX));
-        sup.report(FailureSignal::RankRestored {
-            rank: rank as u32,
-            at_ns: hiper_trace::clock::now_ns(),
-        });
-        sup.mark_resumed(rank as u32);
+        self.harness.recoveries[rank].fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 

@@ -1,7 +1,8 @@
-//! Recovery state-machine tests (DESIGN.md §2.13): quiesced endpoints hold
+//! Recovery harness tests (DESIGN.md §2.13): quiesced endpoints hold
 //! in-flight sends without burning retry budget, a double-kill of the same
-//! rank (the second during replay) still converges, and killing a rank that
-//! never checkpointed degrades to a terminal `Unreachable` instead of
+//! rank (the second during replay) still converges, the per-rank circuit
+//! breaker refuses recovery once its budget is spent, and killing a rank
+//! that never checkpointed degrades to a terminal `Unreachable` instead of
 //! hanging.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -10,10 +11,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use hiper_netsim::{
-    Channel, Cluster, FaultPlan, KillSpec, NetConfig, ReliableTransport, RetryConfig, SpmdBuilder,
-    SupervisedCtx, SupervisorHarness,
+    Channel, Cluster, FaultPlan, KillSpec, NetConfig, RecoveryError, ReliableTransport,
+    RetryConfig, SpmdBuilder, SupervisedCtx, SupervisorHarness,
 };
-use hiper_runtime::supervisor::{RecoveryError, RecoveryPhase};
 use hiper_runtime::SchedulerModule;
 use parking_lot::Mutex;
 
@@ -73,16 +73,29 @@ fn quiesce_holds_in_flight_sends_without_burning_budget() {
     cluster.stop();
 }
 
+/// What rank 0 of [`supervised_sum_run`] saw.
+struct SumRun {
+    /// The checkpointed sum, or why recovery gave up.
+    sum: Result<u64, RecoveryError>,
+    /// Tags of the peer's stream rank 0 received (after a successful run).
+    tags: Vec<u64>,
+    /// Recovery attempts the harness started for rank 0.
+    attempts: u32,
+    /// Recoveries of rank 0 that completed.
+    recoveries: u32,
+}
+
 /// Shared wiring for the supervised SPMD tests: rank 0 runs a checkpointed
-/// iterative sum under a kill schedule while rank 1 streams reliable tagged
-/// frames at it; returns (rank0 sum, rank0 received tags, recovery count).
+/// iterative sum under a kill schedule, with a recovery budget of `budget`,
+/// while rank 1 streams reliable tagged frames at it.
 fn supervised_sum_run(
     dir: std::path::PathBuf,
     kill: Option<KillSpec>,
+    budget: u32,
     n_msgs: u64,
-) -> (u64, Vec<u64>, u32) {
+) -> SumRun {
     let _ = std::fs::remove_dir_all(&dir);
-    let harness = SupervisorHarness::new(2, kill, 3);
+    let harness = SupervisorHarness::new(2, kill, budget);
     let h_main = Arc::clone(&harness);
     let done = Arc::new(AtomicBool::new(false));
 
@@ -102,12 +115,7 @@ fn supervised_sum_run(
                 )
             },
             move |env, (ckpt, endpoint, received)| {
-                h_main.register(
-                    env.rank,
-                    env.runtime.clone(),
-                    Arc::clone(&endpoint),
-                    env.transport.engine(),
-                );
+                h_main.register(env.rank, Arc::clone(&endpoint), env.transport.engine());
                 if env.rank == 1 {
                     // Peer: stream tagged frames at the victim throughout
                     // its (possibly replayed) run.
@@ -118,7 +126,7 @@ fn supervised_sum_run(
                     while !done.load(Ordering::Acquire) {
                         std::thread::sleep(Duration::from_millis(2));
                     }
-                    return (0, Vec::new(), 0);
+                    return None;
                 }
 
                 let ctx = SupervisedCtx::new(Arc::clone(&h_main), ckpt, env.rank);
@@ -129,57 +137,61 @@ fn supervised_sum_run(
                 let state = Arc::new(Mutex::new((0u64, 0u64)));
                 let st = Arc::clone(&state);
                 let rx = Arc::clone(&received);
-                let sum = ctx
-                    .run_supervised(
-                        move |bytes| {
-                            let next = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-                            let sum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-                            *st.lock() = (next, sum);
-                            let tags: Vec<u64> = bytes[16..]
-                                .chunks_exact(8)
-                                .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                                .collect();
-                            *rx.lock() = tags;
-                        },
-                        |_attempt| {
-                            loop {
-                                let (next, _) = *state.lock();
-                                if next >= 5 {
-                                    break;
-                                }
-                                {
-                                    let mut s = state.lock();
-                                    s.1 += s.0;
-                                    s.0 += 1;
-                                }
-                                ctx.checkpoint(|| {
-                                    let (next, sum) = *state.lock();
-                                    let mut out = Vec::new();
-                                    out.extend_from_slice(&next.to_le_bytes());
-                                    out.extend_from_slice(&sum.to_le_bytes());
-                                    for t in received.lock().iter() {
-                                        out.extend_from_slice(&t.to_le_bytes());
-                                    }
-                                    out
-                                });
-                                ctx.crash_point();
+                let sum = ctx.run_supervised(
+                    move |bytes| {
+                        let next = u64::from_le_bytes(bytes[..8].try_into().unwrap());
+                        let sum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+                        *st.lock() = (next, sum);
+                        let tags: Vec<u64> = bytes[16..]
+                            .chunks_exact(8)
+                            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                            .collect();
+                        *rx.lock() = tags;
+                    },
+                    |_attempt| {
+                        loop {
+                            let (next, _) = *state.lock();
+                            if next >= 5 {
+                                break;
                             }
-                            state.lock().1
-                        },
-                    )
-                    .expect("recovery must succeed");
+                            {
+                                let mut s = state.lock();
+                                s.1 += s.0;
+                                s.0 += 1;
+                            }
+                            ctx.checkpoint(|| {
+                                let (next, sum) = *state.lock();
+                                let mut out = Vec::new();
+                                out.extend_from_slice(&next.to_le_bytes());
+                                out.extend_from_slice(&sum.to_le_bytes());
+                                for t in received.lock().iter() {
+                                    out.extend_from_slice(&t.to_le_bytes());
+                                }
+                                out
+                            });
+                            ctx.crash_point();
+                        }
+                        state.lock().1
+                    },
+                );
                 // Wait for the peer's full stream (retransmits included).
                 let deadline = Instant::now() + Duration::from_secs(30);
-                while Instant::now() < deadline && (received.lock().len() as u64) < n_msgs {
+                while sum.is_ok()
+                    && Instant::now() < deadline
+                    && (received.lock().len() as u64) < n_msgs
+                {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 done.store(true, Ordering::Release);
-                let tags = received.lock().clone();
-                let attempts = h_main.supervisor().attempts(0);
-                (sum, tags, attempts)
+                Some(SumRun {
+                    sum,
+                    tags: received.lock().clone(),
+                    attempts: h_main.attempts(0),
+                    recoveries: h_main.recoveries(0),
+                })
             },
         );
-    results.into_iter().next().unwrap()
+    results.into_iter().next().unwrap().unwrap()
 }
 
 /// Double-kill of the same rank: the first at crossing 3 and the second at
@@ -196,11 +208,12 @@ fn double_kill_during_replay_converges() {
         at_points: vec![3, 4],
     };
     let dir = std::env::temp_dir().join("hiper_recovery_double_kill");
-    let (sum, tags, attempts) = supervised_sum_run(dir, Some(kill), n_msgs);
-    assert_eq!(sum, 10, "sum 0..5 must match the fault-free value");
-    assert_eq!(attempts, 2, "two kills => two recovery attempts");
+    let run = supervised_sum_run(dir, Some(kill), 3, n_msgs);
+    assert_eq!(run.sum, Ok(10), "sum 0..5 must match the fault-free value");
+    assert_eq!(run.attempts, 2, "two kills => two recovery attempts");
+    assert_eq!(run.recoveries, 2, "both recoveries complete");
     assert_eq!(
-        tags,
+        run.tags,
         (0..n_msgs).collect::<Vec<_>>(),
         "peer stream must survive both recoveries exactly once, in order"
     );
@@ -212,15 +225,46 @@ fn double_kill_during_replay_converges() {
 fn supervised_run_without_faults_is_plain() {
     let n_msgs = 30u64;
     let dir = std::env::temp_dir().join("hiper_recovery_no_kill");
-    let (sum, tags, attempts) = supervised_sum_run(dir, None, n_msgs);
-    assert_eq!(sum, 10);
-    assert_eq!(attempts, 0, "no kills => no recoveries");
-    assert_eq!(tags, (0..n_msgs).collect::<Vec<_>>());
+    let run = supervised_sum_run(dir, None, 3, n_msgs);
+    assert_eq!(run.sum, Ok(10));
+    assert_eq!(run.attempts, 0, "no kills => no recoveries");
+    assert_eq!(run.recoveries, 0);
+    assert_eq!(run.tags, (0..n_msgs).collect::<Vec<_>>());
+}
+
+/// The circuit breaker opens once a rank's budget is spent: with a budget
+/// of 2 and kills at the first three crash points, the first two recover
+/// and the third surfaces `CircuitOpen` instead of recovering again.
+#[test]
+fn circuit_breaker_opens_after_budget() {
+    let kill = KillSpec {
+        rank: 0,
+        at_points: vec![1, 2, 3],
+    };
+    let dir = std::env::temp_dir().join("hiper_recovery_breaker");
+    let run = supervised_sum_run(dir, Some(kill), 2, 10);
+    assert_eq!(run.sum, Err(RecoveryError::CircuitOpen));
+    assert_eq!(run.attempts, 2, "the refused kill starts no attempt");
+    assert_eq!(run.recoveries, 2);
+}
+
+/// A zero budget never recovers: the first kill opens the breaker.
+#[test]
+fn zero_budget_always_degrades() {
+    let kill = KillSpec {
+        rank: 0,
+        at_points: vec![1],
+    };
+    let dir = std::env::temp_dir().join("hiper_recovery_zero_budget");
+    let run = supervised_sum_run(dir, Some(kill), 0, 10);
+    assert_eq!(run.sum, Err(RecoveryError::CircuitOpen));
+    assert_eq!(run.attempts, 0);
+    assert_eq!(run.recoveries, 0);
 }
 
 /// Killing a rank that never checkpointed must degrade, not hang: the
-/// recovery fails terminally (`NoCheckpoint`, phase `Failed`), the rank
-/// stays severed, and the peer's retry budget exhausts into the typed
+/// recovery fails terminally (`NoCheckpoint`, no completed recovery), the
+/// rank stays severed, and the peer's retry budget exhausts into the typed
 /// `Unreachable` error.
 #[test]
 fn kill_of_never_checkpointed_rank_degrades_to_unreachable() {
@@ -255,12 +299,7 @@ fn kill_of_never_checkpointed_rank_degrades_to_unreachable() {
                 )
             },
             move |env, (ckpt, endpoint)| {
-                h_main.register(
-                    env.rank,
-                    env.runtime.clone(),
-                    Arc::clone(&endpoint),
-                    env.transport.engine(),
-                );
+                h_main.register(env.rank, Arc::clone(&endpoint), env.transport.engine());
                 if env.rank == 1 {
                     // Wait out the victim's (failed) recovery, then poll
                     // health toward the corpse. No collectives: nothing
@@ -288,12 +327,13 @@ fn kill_of_never_checkpointed_rank_degrades_to_unreachable() {
                 );
                 let err = out.expect_err("no snapshot => recovery must fail");
                 assert!(matches!(err, RecoveryError::NoCheckpoint), "got {:?}", err);
-                assert_eq!(h_main.supervisor().phase(0), RecoveryPhase::Failed);
                 dead.store(true, Ordering::Release);
                 format!("victim: {}", err)
             },
         );
     assert!(outcomes[0].contains("no checkpoint"), "{}", outcomes[0]);
+    assert_eq!(harness.attempts(0), 1, "the breaker let the attempt start");
+    assert_eq!(harness.recoveries(0), 0);
     assert!(
         outcomes[1].contains("unreachable"),
         "peer must see the typed error, got: {}",

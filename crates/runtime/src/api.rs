@@ -60,16 +60,6 @@ pub fn finish<R>(f: impl FnOnce() -> R) -> Result<R, TaskError> {
     rt().finish(f)
 }
 
-/// `finish_supervised`: a resilient finish scope that re-executes `f`
-/// (passed the 1-based attempt number) when the scope fails for a cause
-/// `policy` classifies as retryable. See `Runtime::finish_supervised`.
-pub fn finish_supervised<R>(
-    policy: &crate::supervisor::RetryPolicy,
-    f: impl FnMut(u32) -> R,
-) -> Result<R, TaskError> {
-    rt().finish_supervised(policy, f)
-}
-
 /// Blocking `forasync` over `0..n`.
 pub fn forasync_1d(n: usize, grain: usize, f: impl Fn(usize) + Send + Sync + 'static) {
     rt().forasync_1d(n, grain, f)

@@ -9,6 +9,10 @@
 //! the module registry that third-party libraries (MPI, OpenSHMEM, UPC++,
 //! CUDA, …) plug into.
 //!
+//! Rank-failure recovery is not part of the core: the simulated cluster's
+//! supervision harness (`hiper_netsim::supervise`) drives it from outside,
+//! through the modules' reliable endpoints and checkpoints.
+//!
 //! # Quick start
 //!
 //! ```
@@ -36,7 +40,6 @@ mod runtime;
 mod scheduler;
 mod smallfn;
 pub mod stats;
-pub mod supervisor;
 mod task;
 pub mod watchdog;
 
@@ -48,7 +51,4 @@ pub use module::{Binding, ModuleCtx, ModuleError, PollFn, Poller, SchedulerModul
 pub use promise::{when_all, Future, Promise, TaskError};
 pub use runtime::{Runtime, RuntimeBuilder};
 pub use stats::{ModuleStats, SchedStats, SchedStatsSnapshot};
-pub use supervisor::{
-    FailureSignal, RecoveryError, RecoveryPhase, RetryOn, RetryPolicy, Supervisor,
-};
 pub use task::FinishScope;

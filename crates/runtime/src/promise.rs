@@ -87,25 +87,6 @@ impl TaskError {
             message: message.into(),
         }
     }
-
-    /// Whether a supervised scope should consider retrying after this
-    /// failure: the message names a known transient cause (unreachable
-    /// peer, timeout, rank-down window). Poison propagation carries the
-    /// upstream error or wraps its message ("dependency poisoned: ..."),
-    /// so the match survives chaining.
-    pub fn is_transient(&self) -> bool {
-        let m = self.message.to_ascii_lowercase();
-        [
-            "unreachable",
-            "timed out",
-            "timeout",
-            "transient",
-            "rank down",
-            "peer dead",
-        ]
-        .iter()
-        .any(|pat| m.contains(pat))
-    }
 }
 
 impl fmt::Display for TaskError {

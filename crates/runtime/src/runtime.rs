@@ -297,13 +297,6 @@ impl Runtime {
         self.inner.sched.stats.snapshot()
     }
 
-    /// The live scheduler counters. External recovery drivers (the
-    /// simulated cluster's supervisor harness) bump the recovery counters
-    /// through this.
-    pub fn stats(&self) -> &crate::stats::SchedStats {
-        &self.inner.sched.stats
-    }
-
     /// True when at least one worker is parked or registering idle — i.e.
     /// publishing more work right now would actually recruit parallelism.
     /// One relaxed load; `forasync` polls this to decide whether to split
@@ -530,52 +523,6 @@ impl Runtime {
         match scope.error() {
             Some(err) => Err(err),
             None => Ok(result),
-        }
-    }
-
-    /// `finish_supervised`: a resilient finish scope. Runs `body` (which
-    /// receives the 1-based attempt number) under [`Runtime::finish`]; if
-    /// the scope drains poisoned and `policy` classifies the failure as
-    /// retryable, the whole body re-executes after the policy's backoff.
-    ///
-    /// The body must be *re-runnable*: any side effects it performed
-    /// before the failure either are idempotent or are rolled back by the
-    /// caller (the checkpoint-replay harness does the latter). The scope
-    /// always drains fully before a retry starts, so no task from a failed
-    /// attempt is still running when the next attempt begins.
-    ///
-    /// When the retry budget is exhausted (or the failure is not
-    /// retryable) the last error surfaces through the existing typed error
-    /// path — exactly what an unsupervised `finish` would have returned.
-    pub fn finish_supervised<R>(
-        &self,
-        policy: &crate::supervisor::RetryPolicy,
-        mut body: impl FnMut(u32) -> R,
-    ) -> Result<R, TaskError> {
-        let mut attempt = 1u32;
-        loop {
-            match self.finish(|| body(attempt)) {
-                Ok(r) => return Ok(r),
-                Err(err) => {
-                    if !policy.should_retry(attempt, &err) {
-                        return Err(err);
-                    }
-                    self.inner.sched.stats.task_retried(usize::MAX);
-                    if hiper_trace::enabled() {
-                        hiper_trace::emit(
-                            hiper_trace::EventKind::TaskRetry,
-                            attempt as u64,
-                            policy.max_attempts as u64,
-                            0,
-                        );
-                    }
-                    let delay = policy.backoff_for(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                }
-            }
         }
     }
 

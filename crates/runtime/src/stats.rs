@@ -49,9 +49,6 @@ struct StatShard {
     /// batch-steal banking). The cross-shard sum is the *publish epoch* the
     /// pre-park check compares against; see `Scheduler::maybe_has_work`.
     tasks_published: AtomicU64,
-    tasks_retried: AtomicU64,
-    ranks_recovered: AtomicU64,
-    recoveries_failed: AtomicU64,
 }
 
 /// Scheduler-level counters: one padded shard per worker plus one trailing
@@ -138,19 +135,6 @@ impl SchedStats {
             crate::task::BodyKind::Boxed => {}
         }
     }
-    /// A supervised finish scope re-ran its body after a transient failure.
-    pub fn task_retried(&self, shard: usize) {
-        bump!(self.shard(shard).tasks_retried);
-    }
-    /// A killed rank was brought back via checkpoint replay.
-    pub fn rank_recovered(&self, shard: usize) {
-        bump!(self.shard(shard).ranks_recovered);
-    }
-    /// A recovery attempt ended in permanent degradation (no usable
-    /// checkpoint, or the circuit breaker opened).
-    pub fn recovery_failed(&self, shard: usize) {
-        bump!(self.shard(shard).recoveries_failed);
-    }
     /// Batched: one RMW for a whole `split_run` frame's elisions.
     pub(crate) fn splits_elided_n(&self, shard: usize, n: u64) {
         self.shard(shard)
@@ -199,9 +183,6 @@ impl SchedStats {
             snap.slab_hits += s.slab_hits.load(Ordering::Relaxed);
             snap.slab_misses += s.slab_misses.load(Ordering::Relaxed);
             snap.splits_elided += s.splits_elided.load(Ordering::Relaxed);
-            snap.tasks_retried += s.tasks_retried.load(Ordering::Relaxed);
-            snap.ranks_recovered += s.ranks_recovered.load(Ordering::Relaxed);
-            snap.recoveries_failed += s.recoveries_failed.load(Ordering::Relaxed);
         }
         // Process-global (promises are not bound to a runtime); monotonic, so
         // `diff` attributes it to a measured region like the sharded counts.
@@ -253,12 +234,6 @@ pub struct SchedStatsSnapshot {
     /// Promise continuations stored in the inline slot (process-global:
     /// promises are not bound to a runtime instance).
     pub promise_inline_waiters: u64,
-    /// Supervised-scope bodies re-executed after a transient failure.
-    pub tasks_retried: u64,
-    /// Killed ranks successfully restored from a checkpoint.
-    pub ranks_recovered: u64,
-    /// Recovery attempts that ended in permanent degradation.
-    pub recoveries_failed: u64,
 }
 
 impl SchedStatsSnapshot {
@@ -311,11 +286,6 @@ impl SchedStatsSnapshot {
             promise_inline_waiters: self
                 .promise_inline_waiters
                 .saturating_sub(earlier.promise_inline_waiters),
-            tasks_retried: self.tasks_retried.saturating_sub(earlier.tasks_retried),
-            ranks_recovered: self.ranks_recovered.saturating_sub(earlier.ranks_recovered),
-            recoveries_failed: self
-                .recoveries_failed
-                .saturating_sub(earlier.recoveries_failed),
         }
     }
 }
@@ -327,7 +297,7 @@ impl fmt::Display for SchedStatsSnapshot {
             "tasks={} pops={} steals={} batch_steals={} injector={} parks={} helped={} \
              wakes_sent={} wakes_skipped={} completion_wakes={} backstop_wakes={} panics={} \
              inline={} slab_hits={} slab_misses={} splits_elided={} promise_inline={} \
-             retried={} ranks_recovered={} recoveries_failed={} steals/task={:.3} wake_eff={:.3}",
+             steals/task={:.3} wake_eff={:.3}",
             self.tasks_executed,
             self.pops,
             self.steals,
@@ -345,9 +315,6 @@ impl fmt::Display for SchedStatsSnapshot {
             self.slab_misses,
             self.splits_elided,
             self.promise_inline_waiters,
-            self.tasks_retried,
-            self.ranks_recovered,
-            self.recoveries_failed,
             self.steals_per_task(),
             self.wake_efficiency()
         )
@@ -491,9 +458,6 @@ mod tests {
         s.splits_elided_n(0, 1);
         s.published(0);
         s.published(s.external_shard());
-        s.task_retried(0);
-        s.rank_recovered(1);
-        s.recovery_failed(s.external_shard());
         let snap = s.snapshot();
         assert_eq!(snap.tasks_executed, 2);
         assert_eq!(snap.pops, 1);
@@ -510,9 +474,6 @@ mod tests {
         assert_eq!(snap.slab_hits, 1);
         assert_eq!(snap.slab_misses, 1);
         assert_eq!(snap.splits_elided, 1);
-        assert_eq!(snap.tasks_retried, 1);
-        assert_eq!(snap.ranks_recovered, 1);
-        assert_eq!(snap.recoveries_failed, 1);
         assert_eq!(s.publish_epoch(), 2);
         let shown = snap.to_string();
         assert!(shown.contains("tasks=2"));
@@ -525,9 +486,6 @@ mod tests {
         assert!(shown.contains("inline=2"));
         assert!(shown.contains("slab_hits=1"));
         assert!(shown.contains("splits_elided=1"));
-        assert!(shown.contains("retried=1"));
-        assert!(shown.contains("ranks_recovered=1"));
-        assert!(shown.contains("recoveries_failed=1"));
     }
 
     #[test]

@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 
 /// What to do once a stall is confirmed and the flight record is written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// Log the stall loudly and keep running (the record may repeat if the
     /// stall clears and recurs; one record per frozen-counter episode).
     Warn,
@@ -55,7 +55,7 @@ pub enum Mode {
 
 /// Parsed watchdog configuration.
 #[derive(Debug, Clone)]
-pub struct Config {
+pub(crate) struct Config {
     pub mode: Mode,
     /// How long the progress counter must stay frozen (with a live
     /// suspicion) before the stall is declared.
@@ -224,7 +224,7 @@ fn parse_duration(s: &str) -> Option<Duration> {
 
 /// Arms the watchdog with `config`, spawning the monitor thread on first
 /// arm. Re-arming replaces the configuration in place.
-pub fn arm(config: Config) {
+pub(crate) fn arm(config: Config) {
     let mut inner = state().inner.lock();
     inner.config = Some(config);
     ARMED.store(true, Ordering::SeqCst);
@@ -240,7 +240,8 @@ pub fn arm(config: Config) {
 /// Disarms the watchdog. The monitor thread keeps sleeping (it is a
 /// daemon) but detects nothing, and the per-hook cost drops back to one
 /// relaxed load. Registered promises/probes stay registered.
-pub fn disarm() {
+#[cfg(test)]
+pub(crate) fn disarm() {
     ARMED.store(false, Ordering::SeqCst);
     state().inner.lock().config = None;
 }
@@ -277,11 +278,6 @@ pub fn resolve_promise(id: u64) {
     }
     state().inner.lock().promises.remove(&id);
     PROGRESS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Number of registered-but-unresolved promises (test/diagnostic surface).
-pub fn unresolved_promises() -> usize {
-    state().inner.lock().promises.len()
 }
 
 // ---------------------------------------------------------------------

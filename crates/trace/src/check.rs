@@ -81,8 +81,6 @@ pub struct CheckReport {
     pub rank_restores: usize,
     /// Completed (down, restored) blackout intervals.
     pub blackouts: usize,
-    /// `task_retry` events.
-    pub task_retries: usize,
     /// Violated rules, in discovery order.
     pub errors: Vec<String>,
 }
@@ -202,10 +200,6 @@ pub fn check(data: &TraceData) -> CheckReport {
                         .entry(e.a)
                         .or_default()
                         .push((e.ts_ns, restored, e.b));
-                    None
-                }
-                EventKind::TaskRetry => {
-                    report.task_retries += 1;
                     None
                 }
                 _ => None,
@@ -393,12 +387,11 @@ impl fmt::Display for CheckReport {
             "  msg edges: {} sent, {} delivered, {} orphan deliver(s)",
             self.msgs_sent, self.msgs_delivered, self.orphan_delivers
         )?;
-        if self.rank_downs + self.rank_restores + self.task_retries > 0 {
+        if self.rank_downs + self.rank_restores > 0 {
             writeln!(
                 f,
-                "  recovery: {} rank_down, {} rank_restored, {} blackout interval(s), \
-                 {} task retry(s)",
-                self.rank_downs, self.rank_restores, self.blackouts, self.task_retries
+                "  recovery: {} rank_down, {} rank_restored, {} blackout interval(s)",
+                self.rank_downs, self.rank_restores, self.blackouts
             )?;
         }
         for t in &self.tracks {

@@ -504,19 +504,6 @@ pub fn chrome_trace_json(data: &TraceData) -> String {
                 );
                 continue;
             }
-            EventKind::TaskRetry => EventJson {
-                name: "task_retry",
-                ph: 'i',
-                ts_ns: e.ts_ns,
-                pid: rpid,
-                tid,
-                dur_ns: None,
-                args: vec![
-                    ("attempt", e.a.to_string()),
-                    ("max_attempts", e.b.to_string()),
-                ],
-                thread_scoped_instant: true,
-            },
             EventKind::TaskPanic => EventJson {
                 name: "task panic",
                 ph: 'i',
@@ -705,7 +692,6 @@ impl Reader {
                 ("park", "B") => (Park, 0, 0, 0),
                 ("park", "E") => (Unpark, arg("woken")?, 0, 0),
                 ("task panic", "i") => (TaskPanic, arg("task")?, arg("place")?, 0),
-                ("task_retry", "i") => (TaskRetry, arg("attempt")?, arg("max_attempts")?, 0),
                 // Every other duration span is a module span.
                 (span, "B") => {
                     let bytes = match args.and_then(|a| a.get("bytes")) {
@@ -838,7 +824,6 @@ mod tests {
             ev(1_800, ModuleExit, barrier, 0, 0),
             ev(1_900, ModuleExit, mpi, send, 0),
             ev(2_000, TaskPanic, 7, 2, 0),
-            ev(2_100, TaskRetry, 1, 3, 0),
             ev(2_200, TaskEnd, 7, 0, 0),
             ev(2_300, Park, 0, 0, 0),
             ev(2_400, Unpark, 1, 0, 0),

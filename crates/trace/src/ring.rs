@@ -83,10 +83,6 @@ pub enum EventKind {
     /// A previously-down rank came back after recovery. `a` = rank,
     /// `b` = new reliable-transport epoch (0 when unknown).
     RankRestored = 21,
-    /// A supervised finish scope re-executed its body after a transient
-    /// failure. `a` = attempt number (1-based), `b` = max attempts,
-    /// `c` = interned error excerpt (0 = none).
-    TaskRetry = 22,
 }
 
 impl EventKind {
@@ -115,7 +111,6 @@ impl EventKind {
             19 => MsgDeliver,
             20 => RankDown,
             21 => RankRestored,
-            22 => TaskRetry,
             _ => return None,
         })
     }
@@ -145,7 +140,6 @@ impl EventKind {
             MsgDeliver => "msg_deliver",
             RankDown => "rank_down",
             RankRestored => "rank_restored",
-            TaskRetry => "task_retry",
         }
     }
 }
