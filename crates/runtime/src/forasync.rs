@@ -162,7 +162,7 @@ impl Runtime {
                             .or_else(|| panic.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "<non-string panic>".to_string());
                         if let Some(scope) = scope {
-                            scope.fail(TaskError::new(msg.clone()));
+                            scope.get().fail(TaskError::new(msg.clone()));
                         }
                         p.poison(TaskError::new(msg));
                     }

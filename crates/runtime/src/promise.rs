@@ -29,37 +29,40 @@
 //!                              the waiter slots or writes the outcome)
 //! ```
 //!
-//! The first continuation lands in an *inline* slot ([`SmallFn`], no
-//! allocation when its captures fit); later ones go to an overflow `Vec`.
-//! The outcome cell is written exactly once, while the state word is held in
-//! the transient `LOCKED` state, and published by the `Release` store of the
-//! terminal state; readers load the state with `Acquire` before touching the
-//! cell, so the happens-before edge is state-store → state-load. Completion
-//! wakes exactly the waiters registered with *this* promise (table in
-//! `event.rs`): a worker in [`Future::wait`] registered a continuation that
-//! unparks its own parker; a thread that cannot help parks on the promise's
-//! [`WaitCell`], which completers skip unless someone is asleep in it.
+//! The first three continuations land in inline *waiter slots* ([`SmallFn`],
+//! no allocation when their captures fit); later ones go to an overflow
+//! `Vec`. That `Vec` and the [`WaitCell`] live in a side part allocated by
+//! its first user, so a promise is no bigger than its slots, outcome and
+//! state. A continuation is handed the outcome by reference when
+//! it runs, so a join or a predicated task reads its input's poison from the
+//! completing promise instead of holding a clone of the input's `Future`:
+//! a stencil cell read by three successors allocates nothing and touches no
+//! reference count of its own. The outcome cell is written exactly once,
+//! while the state word is held in the transient `LOCKED` state, and
+//! published by the `Release` store of the terminal state; readers load the
+//! state with `Acquire` before touching the cell, so the happens-before edge
+//! is state-store → state-load. From the terminal store on, registrations
+//! run their thunks themselves, so the completing thread alone drains the
+//! slots. Completion wakes exactly the waiters registered with *this*
+//! promise (table in `event.rs`): a worker in [`Future::wait`] registered a
+//! continuation that unparks its own parker; a thread that cannot help parks
+//! on the promise's `WaitCell`, which completers skip unless someone is
+//! asleep in it.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::event::{WaitCell, WakeHub};
 use crate::runtime::Runtime;
 use crate::smallfn::SmallFn;
 
-/// Continuations stored in the promise's inline slot since process start
-/// (the `promise_inline_waiters` counter surfaced via
-/// [`SchedStatsSnapshot`](crate::stats::SchedStatsSnapshot)). Process-global:
-/// promises are not bound to a runtime instance.
-static INLINE_WAITERS: AtomicU64 = AtomicU64::new(0);
-
-/// Total continuations stored in promise inline slots, process-wide.
-pub(crate) fn inline_waiters_total() -> u64 {
-    INLINE_WAITERS.load(Ordering::Relaxed)
-}
+/// Continuations a promise holds without allocating: enough for a stencil
+/// cell read by its three successors.
+const WAITER_SLOTS: usize = 3;
 
 // State-word values.
 /// No value, no waiters.
@@ -100,22 +103,32 @@ impl std::error::Error for TaskError {}
 struct Shared<T> {
     /// The state word; see the module docs for the transition diagram.
     state: AtomicUsize,
-    /// Inline slot for the first continuation: the common single-waiter
-    /// case stores its thunk here without touching the allocator.
-    inline: UnsafeCell<Option<SmallFn>>,
-    /// Second and later continuations. Lazily allocated by `Vec`.
-    overflow: UnsafeCell<Vec<SmallFn>>,
+    /// The first continuations, in registration order: up to
+    /// `WAITER_SLOTS` waiters store their thunks here without touching the
+    /// allocator. Filled front to back, so the first `None` ends the list.
+    slots: UnsafeCell<[Option<SmallFn<T>>; WAITER_SLOTS]>,
+    /// What most promises never need, allocated by the first user: see
+    /// [`Side`]. Null until then; freed with the promise.
+    side: AtomicPtr<Side<T>>,
     /// The outcome. Written exactly once while `state == LOCKED`; read only
     /// after an `Acquire` load observed `READY` or `POISONED`, and never
     /// mutated after that, so shared `&` reads are race-free.
     outcome: UnsafeCell<Option<Result<T, TaskError>>>,
-    /// Where waiters that cannot help (external threads, depth-capped
-    /// workers) park; usually empty, since workers help instead.
-    cell: WaitCell,
     /// Watchdog registry id (0 = unregistered, i.e. the watchdog was
     /// disarmed at creation). Set once at construction, resolved on the
     /// terminal transition in [`complete`](Shared::complete).
     wd_id: u64,
+}
+
+/// The part of a promise that most never need, kept out of line so a
+/// promise costs no more than its three waiter slots and its outcome.
+struct Side<T> {
+    /// Continuations past the slots, in registration order. Touched under
+    /// `LOCKED`, or by the completing thread after the terminal store.
+    overflow: UnsafeCell<Vec<SmallFn<T>>>,
+    /// Where waiters that cannot help (external threads, depth-capped
+    /// workers) park; usually empty, since workers help instead.
+    cell: WaitCell,
 }
 
 // Same bounds the old `Mutex<State<T>>` representation had: the cells are
@@ -123,14 +136,23 @@ struct Shared<T> {
 unsafe impl<T: Send> Send for Shared<T> {}
 unsafe impl<T: Send> Sync for Shared<T> {}
 
+impl<T> Drop for Shared<T> {
+    fn drop(&mut self) {
+        let side = *self.side.get_mut();
+        if !side.is_null() {
+            // SAFETY: installed from a `Box` by `side`, and no handle is left.
+            drop(unsafe { Box::from_raw(side) });
+        }
+    }
+}
+
 impl<T> Shared<T> {
     fn new() -> Shared<T> {
         Shared {
             state: AtomicUsize::new(EMPTY),
-            inline: UnsafeCell::new(None),
-            overflow: UnsafeCell::new(Vec::new()),
+            slots: UnsafeCell::new([const { None }; WAITER_SLOTS]),
+            side: AtomicPtr::new(std::ptr::null_mut()),
             outcome: UnsafeCell::new(None),
-            cell: WaitCell::default(),
             // Registered with the owning span so a stall's flight record
             // can name which task's promise never resolved. The armed check
             // here keeps the disarmed path free of the TLS read.
@@ -170,6 +192,38 @@ impl<T> Shared<T> {
         }
     }
 
+    /// The side part, allocated and installed by the first caller.
+    fn side(&self) -> &Side<T> {
+        if let Some(side) = self.side_if_any() {
+            return side;
+        }
+        let new = Box::into_raw(Box::new(Side {
+            overflow: UnsafeCell::new(Vec::new()),
+            cell: WaitCell::default(),
+        }));
+        let side = match self.side.compare_exchange(
+            std::ptr::null_mut(),
+            new,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => new,
+            Err(winner) => {
+                // SAFETY: `new` lost the race and was never shared.
+                drop(unsafe { Box::from_raw(new) });
+                winner
+            }
+        };
+        // SAFETY: installed for good; freed only with `self`.
+        unsafe { &*side }
+    }
+
+    /// The side part, if anyone installed it.
+    fn side_if_any(&self) -> Option<&Side<T>> {
+        // SAFETY: as in `side`.
+        unsafe { self.side.load(Ordering::Acquire).as_ref() }
+    }
+
     /// True once the state word is terminal (value or poison).
     fn is_terminal(&self) -> bool {
         matches!(self.state.load(Ordering::Acquire), READY | POISONED)
@@ -182,40 +236,51 @@ impl<T> Shared<T> {
         unsafe { (*self.outcome.get()).as_ref().unwrap() }
     }
 
-    /// Moves the promise to a terminal state, publishing `result` and
-    /// returning the drained continuations — or `None` if the promise was
-    /// already terminal (the caller decides whether that is a panic).
-    fn complete(&self, result: Result<T, TaskError>) -> Option<(Option<SmallFn>, Vec<SmallFn>)> {
-        let from = self.lock_or_terminal();
-        match from {
-            EMPTY | WAITERS => {
-                let terminal = if result.is_ok() { READY } else { POISONED };
-                // Exclusive access: every other thread spins on LOCKED or
-                // has not observed a terminal state yet.
-                unsafe { *self.outcome.get() = Some(result) };
-                let inline = unsafe { (*self.inline.get()).take() };
-                let overflow = unsafe { mem::take(&mut *self.overflow.get()) };
-                self.state.store(terminal, Ordering::Release);
-                // Parked workers are woken by the continuations they
-                // registered, which the caller runs next.
-                self.cell.notify();
-                // The single terminal-transition point: every resolution
-                // (put, poison, drop-poison) lands here exactly once.
-                crate::watchdog::resolve_promise(self.wd_id);
-                Some((inline, overflow))
-            }
-            _ => None,
+    /// Moves the promise to a terminal state, publishing `result`, and runs
+    /// every registered continuation in registration order. Returns false,
+    /// running nothing, if the promise was already terminal (the caller
+    /// decides whether that is a panic).
+    fn complete(&self, result: Result<T, TaskError>) -> bool {
+        if !matches!(self.lock_or_terminal(), EMPTY | WAITERS) {
+            return false;
         }
-    }
-}
-
-/// Runs drained continuations in registration order (inline slot first).
-fn run_thunks(thunks: (Option<SmallFn>, Vec<SmallFn>)) {
-    if let Some(t) = thunks.0 {
-        t.call();
-    }
-    for t in thunks.1 {
-        t.call();
+        let terminal = if result.is_ok() { READY } else { POISONED };
+        // Exclusive access: every other thread spins on LOCKED or has not
+        // observed a terminal state yet.
+        unsafe { *self.outcome.get() = Some(result) };
+        self.state.store(terminal, Ordering::Release);
+        // Parked workers are woken by the continuations they registered,
+        // which run next. A thread that cannot help installs the side part
+        // before it registers in the cell and re-checks the state (`wait`):
+        // with this fence, it sees the terminal state or we see its side.
+        fence(Ordering::SeqCst);
+        let side = self.side_if_any();
+        if let Some(side) = side {
+            side.cell.notify();
+        }
+        // The single terminal-transition point: every resolution (put,
+        // poison, drop-poison) lands here exactly once.
+        crate::watchdog::resolve_promise(self.wd_id);
+        // Each slot is taken out before its thunk runs; a panicking thunk
+        // leaves the rest to be dropped uncalled with `self`.
+        let outcome = self.outcome();
+        for i in 0..WAITER_SLOTS {
+            // SAFETY: terminal now, so a registration runs its thunk itself:
+            // this thread alone touches the slots from here on.
+            match unsafe { (*self.slots.get())[i].take() } {
+                Some(thunk) => thunk.call(outcome),
+                None => return true,
+            }
+        }
+        // All slots were full, so the overflow was filled under LOCKED before
+        // our own lock, and the side pointer was visible to the load above.
+        if let Some(side) = side {
+            // SAFETY: as for the slots.
+            for thunk in mem::take(unsafe { &mut *side.overflow.get() }) {
+                thunk.call(outcome);
+            }
+        }
+        true
     }
 }
 
@@ -262,21 +327,20 @@ impl<T> Promise<T> {
 
     /// Satisfies the promise, releasing every waiter and running every
     /// registered continuation (in registration order). Allocation-free:
-    /// the no-waiter case is a single CAS, the inline-waiter case adds one
+    /// the no-waiter case is a single CAS, each slotted waiter adds one
     /// thunk call.
     ///
     /// # Panics
     /// Panics on double-put: a promise is single-assignment.
     pub fn put(self, value: T) {
-        match self.shared.complete(Ok(value)) {
-            Some(thunks) => run_thunks(thunks),
-            None => match self.shared.state.load(Ordering::Acquire) {
+        if !self.shared.complete(Ok(value)) {
+            match self.shared.state.load(Ordering::Acquire) {
                 POISONED => panic!(
                     "promise satisfied after poisoning: {}",
                     self.shared.outcome().as_ref().err().unwrap()
                 ),
                 _ => panic!("promise satisfied twice"),
-            },
+            }
         }
     }
 
@@ -290,9 +354,7 @@ impl<T> Promise<T> {
 
     fn poison_shared(shared: &Shared<T>, err: TaskError) {
         // Already satisfied or poisoned: keep the first outcome.
-        if let Some(thunks) = shared.complete(Err(err)) {
-            run_thunks(thunks);
-        }
+        shared.complete(Err(err));
     }
 
     /// True if [`put`](Self::put) has already happened (only possible via
@@ -382,29 +444,37 @@ impl<T: Send + 'static> Future<T> {
     /// task with `Runtime::spawn_await_at` / `spawn_future_await_at`, all of
     /// which fail fast.
     ///
-    /// The first registration on a pending future lands in the inline slot:
-    /// no allocation when the thunk's captures fit in 48 bytes. Second and
-    /// later registrations go to an overflow `Vec`, which allocates.
+    /// The first three registrations on a pending future land in inline
+    /// waiter slots: no allocation when the thunk's captures fit in 40
+    /// bytes. Later registrations go to an overflow `Vec`, which allocates.
     pub fn on_ready(&self, thunk: impl FnOnce() + Send + 'static) {
+        self.on_complete(move |_| thunk());
+    }
+
+    /// [`on_ready`](Self::on_ready) for a thunk that reads the outcome: it
+    /// is handed the value or the poisoning error by reference, on the
+    /// completing thread (or at once, on this one, if already complete).
+    pub(crate) fn on_complete(&self, thunk: impl FnOnce(&Result<T, TaskError>) + Send + 'static) {
         let shared = &self.shared;
         if shared.is_terminal() {
-            thunk();
+            thunk(shared.outcome());
             return;
         }
-        let (thunk, _inlined) = SmallFn::new(thunk);
+        let thunk = SmallFn::new(thunk);
         match shared.lock_or_terminal() {
             EMPTY | WAITERS => {
-                let slot = unsafe { &mut *shared.inline.get() };
-                if slot.is_none() {
-                    *slot = Some(thunk);
-                    INLINE_WAITERS.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    unsafe { (*shared.overflow.get()).push(thunk) };
+                // SAFETY: LOCKED gives exclusive access to the slots and the
+                // overflow until the store below releases it.
+                let slots = unsafe { &mut *shared.slots.get() };
+                match slots.iter_mut().find(|slot| slot.is_none()) {
+                    Some(free) => *free = Some(thunk),
+                    // SAFETY: as above.
+                    None => unsafe { (*shared.side().overflow.get()).push(thunk) },
                 }
                 shared.state.store(WAITERS, Ordering::Release);
             }
             // Completed while we were building the thunk: run it now.
-            _terminal => thunk.call(),
+            _terminal => thunk.call(shared.outcome()),
         }
     }
 
@@ -444,8 +514,7 @@ impl<T: Send + 'static> Future<T> {
         promise: Promise<U>,
         f: impl FnOnce(&T, Promise<U>) + Send + 'static,
     ) {
-        let src = self.clone();
-        self.on_ready(move || match src.shared.outcome() {
+        self.on_complete(move |outcome| match outcome {
             Ok(v) => f(v, promise),
             Err(e) => promise.poison(e.clone()),
         });
@@ -472,14 +541,14 @@ impl<T: Send + 'static> Future<T> {
         // the eventual `put` unparks exactly it — and only if it is parked.
         let arm = |hub: &Arc<WakeHub>, me: usize| {
             let hub = Arc::clone(hub);
-            self.on_ready(move || {
+            self.on_complete(move |_| {
                 hub.wake_worker(me);
             });
         };
         if Runtime::try_help_current(arm, &mut || self.is_complete()) {
             return 0;
         }
-        self.shared.cell.wait(|| self.shared.is_terminal())
+        self.shared.side().cell.wait(|| self.shared.is_terminal())
     }
 
     /// Runs `f` against the value by reference, waiting first if necessary.
@@ -541,52 +610,64 @@ impl<T> fmt::Debug for Promise<T> {
     }
 }
 
-/// A countdown over `n` inputs sharing one allocation: the count, the
-/// first-observed error (first writer wins), and the `done` action. The
-/// thread whose arrival drains the count is the only one to touch `done`
-/// (the forasync latch's protocol), so `done` needs no lock.
+/// A countdown over `n` inputs in one allocation: the count, the
+/// first-observed error (first writer wins), and the `done` action. Each
+/// input carries a one-word arrival thunk in its waiter slot. The arrival
+/// whose `AcqRel` decrement drains the count is the only one to touch
+/// `done` (the forasync latch's protocol), and it frees the join: the
+/// outstanding arrivals are what keep the join alive, so it needs no
+/// reference count.
 pub(crate) struct Join<F> {
     remaining: AtomicUsize,
     first_err: OnceLock<TaskError>,
-    done: UnsafeCell<Option<F>>,
+    done: F,
 }
 
-// SAFETY: `done` is moved in before the join is shared and taken only by the
-// unique thread whose `AcqRel` decrement drained `remaining`.
-unsafe impl<F: Send> Sync for Join<F> {}
+/// One input's handle on its join.
+struct Arrival<F>(NonNull<Join<F>>);
 
-impl<F: FnOnce(Option<TaskError>) + Send> Join<F> {
-    /// A join over `n > 0` inputs.
-    pub(crate) fn new(n: usize, done: F) -> Arc<Join<F>> {
-        debug_assert!(n > 0);
-        Arc::new(Join {
-            remaining: AtomicUsize::new(n),
+// SAFETY: an arrival reads `remaining` and `first_err` (both `Sync`) and the
+// draining one moves `done` to its own thread, hence `F: Send`.
+unsafe impl<F: Send> Send for Arrival<F> {}
+
+impl<F: FnOnce(Option<TaskError>) + Send + 'static> Join<F> {
+    /// Runs `done` once every one of `inputs` (at least one) completed,
+    /// with the first-observed poison, on the thread of the last arrival.
+    pub(crate) fn start<T: Send + 'static>(inputs: &[Future<T>], done: F) {
+        debug_assert!(!inputs.is_empty());
+        let join = NonNull::from(Box::leak(Box::new(Join {
+            remaining: AtomicUsize::new(inputs.len()),
             first_err: OnceLock::new(),
-            done: UnsafeCell::new(Some(done)),
-        })
-    }
-
-    /// Registers the join on `input`: a 16-byte thunk (the join and the
-    /// input), inline in the input's waiter slot when that is free.
-    pub(crate) fn arm<T: Send + 'static>(self: &Arc<Self>, input: &Future<T>)
-    where
-        F: 'static,
-    {
-        let (join, input2) = (Arc::clone(self), input.clone());
-        input.on_ready(move || join.arrive(input2.poison_error()));
-    }
-
-    /// One input completed, poisoned with `err` if `Some`. The last arrival
-    /// runs `done` with the first-observed error.
-    fn arrive(&self, err: Option<TaskError>) {
-        if let Some(e) = err {
-            let _ = self.first_err.set(e);
+            done,
+        })));
+        for input in inputs {
+            let arrival = Arrival(join);
+            // SAFETY: this input's arrival is still outstanding, so the join
+            // is live when it runs; each input arrives exactly once.
+            input.on_complete(move |outcome| unsafe { arrival.arrive(outcome.as_ref().err()) });
         }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // SAFETY: this decrement drained the count, so no other thread
-            // touches `done` again, and it is ordered after every other one.
-            let done = unsafe { (*self.done.get()).take() }.expect("join drained once");
-            done(self.first_err.get().cloned());
+    }
+}
+
+impl<F: FnOnce(Option<TaskError>)> Arrival<F> {
+    /// One input completed, poisoned with `err` if `Some`. The last arrival
+    /// runs `done` with the first-observed error and frees the join.
+    ///
+    /// # Safety
+    /// Called once per arrival, while the join is live (this arrival has
+    /// not been counted yet).
+    unsafe fn arrive(self, err: Option<&TaskError>) {
+        let join = self.0.as_ref();
+        if let Some(e) = err {
+            join.first_err.get_or_init(|| e.clone());
+        }
+        if join.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // SAFETY: this decrement drained the count, so every other
+            // arrival is done with the join, and ordered before this point.
+            let Join {
+                first_err, done, ..
+            } = *Box::from_raw(self.0.as_ptr());
+            done(first_err.into_inner());
         }
     }
 }
@@ -596,8 +677,8 @@ impl<F: FnOnce(Option<TaskError>) + Send> Join<F> {
 /// poisoned with the first-observed error once every input completed.
 ///
 /// Two allocations whatever the input count: the output promise and one
-/// shared join. Each input carries a small thunk, stored in its inline
-/// waiter slot when that is free.
+/// join. Each input carries a one-word thunk, stored in one of its waiter
+/// slots when one is free.
 pub fn when_all<T: Send + 'static>(futures: &[Future<T>]) -> Future<()> {
     let p = Promise::new();
     let f = p.future();
@@ -605,13 +686,10 @@ pub fn when_all<T: Send + 'static>(futures: &[Future<T>]) -> Future<()> {
         p.put(());
         return f;
     }
-    let join = Join::new(futures.len(), move |err| match err {
+    Join::start(futures, move |err| match err {
         Some(e) => p.poison(e),
         None => p.put(()),
     });
-    for fut in futures {
-        join.arm(fut);
-    }
     f
 }
 
@@ -693,14 +771,19 @@ mod tests {
     }
 
     #[test]
-    fn inline_slot_counts_first_waiter() {
-        let before = inline_waiters_total();
+    fn fourth_waiter_overflows_in_order() {
         let p = Promise::new();
         let f = p.future();
-        f.on_ready(|| {});
-        f.on_ready(|| {}); // overflow, not inline
-        assert_eq!(inline_waiters_total(), before + 1);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..WAITER_SLOTS + 2 {
+            let log = Arc::clone(&log);
+            f.on_ready(move || log.lock().push(i));
+        }
+        let side = f.shared.side_if_any().expect("overflow installs the side");
+        // SAFETY: nothing else touches the pending promise meanwhile.
+        assert_eq!(unsafe { (*side.overflow.get()).len() }, 2);
         p.put(());
+        assert_eq!(*log.lock(), (0..WAITER_SLOTS + 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The HiPER runtime handle and its task-creation APIs (paper §II-B4).
 
 use std::cell::RefCell;
+use std::mem::{self, ManuallyDrop};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use crate::module::{ModuleError, SchedulerModule};
 use crate::promise::{Future, Join, OutputOf, Promise, TaskError};
 use crate::scheduler::Scheduler;
 use crate::stats::{ModuleStats, SchedStatsSnapshot};
-use crate::task::{BodyKind, FinishScope, Task, TaskBody};
+use crate::task::{BodyKind, FinishScope, ScopeRef, Task, TaskBody};
 
 /// Maximum depth of nested help-first blocking before a worker falls back to
 /// parking (bounds stack growth; see DESIGN.md §2.1).
@@ -69,7 +70,9 @@ struct WorkerTls {
 struct Tls {
     rt: Runtime,
     worker: Option<WorkerTls>,
-    scope: Option<Arc<FinishScope>>,
+    /// The innermost finish scope of the running task or `finish` body,
+    /// whose check-in keeps it alive.
+    scope: Option<ScopeRef>,
     help_depth: usize,
 }
 
@@ -110,7 +113,7 @@ pub(crate) mod met {
 /// (with the spawning task as parent) when tracing is enabled, and stamping
 /// its spawn time when metrics are enabled. One relaxed atomic load per
 /// subsystem when both are off.
-fn make_task(body: TaskBody, place: PlaceId, scope: Option<Arc<FinishScope>>) -> Task {
+fn make_task(body: TaskBody, place: PlaceId, scope: Option<ScopeRef>) -> Task {
     let trace_id = hiper_trace::fresh_task_id();
     if trace_id != 0 {
         hiper_trace::emit(
@@ -137,10 +140,99 @@ fn make_task(body: TaskBody, place: PlaceId, scope: Option<Arc<FinishScope>>) ->
 /// Settles a predicated task, already checked into `scope`, whose
 /// dependency was poisoned with `err`: its body has been dropped unrun.
 /// Fails the scope before checking out (see `FinishScope::fail`).
-fn fail_dependent(scope: Option<Arc<FinishScope>>, err: TaskError) {
+fn fail_dependent(scope: Option<ScopeRef>, err: &TaskError) {
     if let Some(scope) = scope {
-        scope.fail(TaskError::new(format!("dependency poisoned: {}", err)));
+        scope
+            .get()
+            .fail(TaskError::new(format!("dependency poisoned: {}", err)));
         scope.check_out();
+    }
+}
+
+/// What `finish` replaced in the calling thread's frame while its body runs.
+enum Saved {
+    /// The frame belongs to the finishing runtime: its previous scope.
+    Scope(Option<ScopeRef>),
+    /// The thread had no frame, or another runtime's: that frame, stashed.
+    Frame(Option<Tls>),
+}
+
+/// A `finish` scope installed as the calling thread's current scope. Puts
+/// back what it replaced when dropped: after the body returns, and when it
+/// unwinds. Owns the scope until [`leave`](Self::leave) hands it back.
+struct ScopeFrame {
+    scope: Option<Arc<FinishScope>>,
+    saved: Option<Saved>,
+}
+
+impl ScopeFrame {
+    /// Creates a scope for a `finish` on `rt` and installs it.
+    fn enter(rt: &Runtime) -> ScopeFrame {
+        TLS.with(|tls| {
+            let mut tls = tls.borrow_mut();
+            // The scope's one waiter is this thread: record its parker (if
+            // it is a worker of any runtime, `try_help_current` helps there)
+            // so the last check-out can unpark exactly it.
+            let scope = match tls.as_ref() {
+                Some(Tls {
+                    rt: own,
+                    worker: Some(w),
+                    ..
+                }) => FinishScope::new(Arc::clone(&own.inner.sched.hub), Some(w.id)),
+                _ => FinishScope::new(Arc::clone(&rt.inner.sched.hub), None),
+            };
+            let current = ScopeRef::of(&scope);
+            let saved = match tls.as_mut() {
+                Some(t) if Arc::ptr_eq(&t.rt.inner, &rt.inner) => {
+                    Saved::Scope(t.scope.replace(current))
+                }
+                // The thread belongs to no runtime, or to another one:
+                // install a frame of ours so spawns inside the body see the
+                // scope, and stash the other runtime's to put back after.
+                _ => Saved::Frame(tls.replace(Tls {
+                    rt: rt.clone(),
+                    worker: None,
+                    scope: Some(current),
+                    help_depth: 0,
+                })),
+            };
+            ScopeFrame {
+                scope: Some(scope),
+                saved: Some(saved),
+            }
+        })
+    }
+
+    /// The body returned: restores the frame and hands the scope back.
+    fn leave(mut self) -> Arc<FinishScope> {
+        self.scope.take().expect("scope owned until leave")
+    }
+}
+
+impl Drop for ScopeFrame {
+    fn drop(&mut self) {
+        let ours = TLS.with(|tls| {
+            let mut tls = tls.borrow_mut();
+            match self.saved.take() {
+                Some(Saved::Scope(prev)) => {
+                    if let Some(t) = tls.as_mut() {
+                        t.scope = prev;
+                    }
+                    None
+                }
+                Some(Saved::Frame(prev)) => mem::replace(&mut *tls, prev),
+                None => None,
+            }
+        });
+        // Dropped outside the borrow: the last handle of a runtime runs
+        // its modules' destructors.
+        drop(ours);
+        if let Some(scope) = self.scope.take() {
+            // The body unwound without checking out. Tasks it spawned still
+            // hold check-ins and point to the scope, so it must outlive
+            // them: leak it.
+            mem::forget(scope);
+        }
     }
 }
 
@@ -276,6 +368,26 @@ impl Runtime {
         TLS.with(|tls| tls.borrow().as_ref().map(|t| t.rt.clone()))
     }
 
+    /// Runs `f` on the calling thread's runtime, if it has one, without
+    /// cloning the handle: the `api` functions' path, which moves no
+    /// reference count per call. `f` may run any code, `finish` included.
+    pub(crate) fn with_current<R>(f: impl FnOnce(&Runtime) -> R) -> Option<R> {
+        let rt = TLS.with(|tls| {
+            tls.borrow().as_ref().map(|t| {
+                // SAFETY: a bitwise copy that is never dropped, so it gives
+                // back no count it did not take. It is used only while `f`
+                // runs, and the frame's own handle keeps the runtime alive
+                // that long: a frame is dropped only by the call that
+                // installed it (`worker_main`, or a `finish` through its
+                // `ScopeFrame`), which is further down this stack, and a
+                // nested `finish` for another runtime stashes the frame and
+                // puts it back instead of dropping it.
+                ManuallyDrop::new(unsafe { std::ptr::read(&t.rt) })
+            })
+        })?;
+        Some(f(&rt))
+    }
+
     /// The platform configuration this runtime was built from.
     pub fn config(&self) -> &PlatformConfig {
         &self.inner.config
@@ -389,14 +501,15 @@ impl Runtime {
         f: impl FnOnce() + Send + 'static,
     ) {
         let scope = self.current_scope_checked_in();
-        // Wrapped now, so the continuation fits in 48 bytes and stays inline in
-        // the dependency's waiter slot.
+        // Wrapped now, so the continuation (runtime, scope, one-word body,
+        // kind, place) fits in 32 bytes and stays inline in one of the
+        // dependency's waiter slots. It reads the dependency's poison from
+        // the completing promise, so it holds no clone of `dep`.
         let (body, kind) = TaskBody::new(f);
         let rt = self.clone();
-        let dep2 = dep.clone();
-        dep.on_ready(move || match dep2.poison_error() {
-            None => rt.enqueue_prechecked(make_task(body, place, scope), kind),
-            Some(err) => {
+        dep.on_complete(move |outcome| match outcome {
+            Ok(_) => rt.enqueue_prechecked(make_task(body, place, scope), kind),
+            Err(err) => {
                 drop(body);
                 fail_dependent(scope, err);
             }
@@ -440,19 +553,16 @@ impl Runtime {
         }
         let scope = self.current_scope_checked_in();
         let rt = self.clone();
-        let join = Join::new(deps.len(), move |err| match err {
+        Join::start(deps, move |err| match err {
             None => {
                 let (body, kind) = TaskBody::new(f);
                 rt.enqueue_prechecked(make_task(body, place, scope), kind);
             }
             Some(err) => {
                 drop(f);
-                fail_dependent(scope, err);
+                fail_dependent(scope, &err);
             }
         });
-        for dep in deps {
-            join.arm(dep);
-        }
     }
 
     /// `finish`: runs `f` inline and then blocks the calling *task* until
@@ -468,51 +578,10 @@ impl Runtime {
         } else {
             0
         };
-        // The scope's one waiter is this thread: record its parker (if it is
-        // one of our workers) so the last check-out can unpark exactly it.
-        let waiter = Some(self.current_shard()).filter(|&w| w != usize::MAX);
-        let scope = FinishScope::new(Arc::clone(&self.inner.sched.hub), waiter);
-        let prev = TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            match tls.as_mut() {
-                Some(t) if Arc::ptr_eq(&t.rt.inner, &self.inner) => {
-                    t.scope.replace(Arc::clone(&scope))
-                }
-                // Calling thread belongs to no runtime (or another runtime):
-                // install a fresh TLS frame so spawns inside `f` still see
-                // the scope.
-                _ => {
-                    *tls = Some(Tls {
-                        rt: self.clone(),
-                        worker: None,
-                        scope: Some(Arc::clone(&scope)),
-                        help_depth: 0,
-                    });
-                    None
-                }
-            }
-        });
+        let frame = ScopeFrame::enter(self);
         let result = f();
-        TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            if let Some(t) = tls.as_mut() {
-                if t.worker.is_none() && prev.is_none() {
-                    // Tear down the frame we installed, unless we are a
-                    // worker (workers keep their frame).
-                    if Arc::ptr_eq(&t.rt.inner, &self.inner)
-                        && t.scope
-                            .as_ref()
-                            .map(|s| Arc::ptr_eq(s, &scope))
-                            .unwrap_or(false)
-                    {
-                        *tls = None;
-                        return;
-                    }
-                }
-                t.scope = prev;
-            }
-        });
-        scope.check_out(); // the body itself
+        let scope = frame.leave();
+        ScopeRef::of(&scope).check_out(); // the body itself
         if !scope.is_done() && !Runtime::try_help_current(|_, _| {}, &mut || scope.is_done()) {
             let wakes = scope.cell.wait(|| scope.is_done());
             self.inner.sched.stats.completion_wakes_n(usize::MAX, wakes);
@@ -698,12 +767,12 @@ impl Runtime {
     /// current finish scope (not checked in; may be `None` inside no scope).
     /// Returns `None` when the caller is not one of our workers. `forasync`
     /// uses this to decide whether a loop may run inline on the caller.
-    pub(crate) fn worker_scope(&self) -> Option<Option<Arc<FinishScope>>> {
+    pub(crate) fn worker_scope(&self) -> Option<Option<ScopeRef>> {
         TLS.with(|tls| {
             tls.borrow()
                 .as_ref()
                 .filter(|t| t.worker.is_some() && Arc::ptr_eq(&t.rt.inner, &self.inner))
-                .map(|t| t.scope.clone())
+                .map(|t| t.scope)
         })
     }
 
@@ -722,16 +791,14 @@ impl Runtime {
 
     /// Captures the current finish scope (if it belongs to this runtime) and
     /// checks a new task into it.
-    fn current_scope_checked_in(&self) -> Option<Arc<FinishScope>> {
+    fn current_scope_checked_in(&self) -> Option<ScopeRef> {
         TLS.with(|tls| {
             let tls = tls.borrow();
             let t = tls.as_ref()?;
             if !Arc::ptr_eq(&t.rt.inner, &self.inner) {
                 return None;
             }
-            let scope = t.scope.as_ref()?;
-            scope.check_in();
-            Some(Arc::clone(scope))
+            t.scope.map(ScopeRef::check_in)
         })
     }
 
@@ -747,10 +814,7 @@ impl Runtime {
             let tls = tls.borrow();
             match tls.as_ref() {
                 Some(t) if Arc::ptr_eq(&t.rt.inner, &self.inner) => {
-                    let scope = t.scope.as_ref().map(|s| {
-                        s.check_in();
-                        Arc::clone(s)
-                    });
+                    let scope = t.scope.map(ScopeRef::check_in);
                     match t.worker.as_ref() {
                         Some(w) => {
                             let place = place.unwrap_or(sched.homes[w.id]);
@@ -810,7 +874,7 @@ impl Runtime {
             // Stats shard: the worker id, or the external shard for
             // non-worker frames (usize::MAX clamps to it).
             let shard = t.worker.as_ref().map(|w| w.id).unwrap_or(usize::MAX);
-            (std::mem::replace(&mut t.scope, scope.clone()), shard)
+            (mem::replace(&mut t.scope, scope), shard)
         });
         // Only tasks spawned under tracing carry a nonzero id; untraced
         // tasks pay nothing here (no TLS writes, no clock reads).
@@ -866,8 +930,8 @@ impl Runtime {
             );
             // Poison the scope *before* checking the failed task out so the
             // finish waiter cannot observe a drained scope without the error.
-            if let Some(scope) = &scope {
-                scope.fail(TaskError::new(msg));
+            if let Some(scope) = scope {
+                scope.get().fail(TaskError::new(msg));
             }
         }
         if let Some(scope) = scope {
@@ -912,5 +976,59 @@ impl std::fmt::Debug for Runtime {
             .field("config", &self.inner.config.name)
             .field("workers", &self.inner.sched.workers)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    fn current_scope() -> ScopeRef {
+        TLS.with(|tls| tls.borrow().as_ref().and_then(|t| t.scope))
+            .expect("inside a finish body")
+    }
+
+    #[test]
+    fn queued_tasks_leave_the_scope_reference_count_alone() {
+        const N: usize = 32;
+        let rt = Runtime::new(hiper_platform::autogen::smp(1));
+        let release = Arc::new(AtomicBool::new(false));
+        let ran = Arc::new(AtomicUsize::new(0));
+        let gate = Promise::<()>::new();
+        let open = gate.future();
+        rt.finish(|| {
+            let scope = current_scope();
+            let before = scope.strong_count();
+            // Occupies the only worker, so the tasks below stay queued.
+            let r = Arc::clone(&release);
+            rt.spawn(move || {
+                while !r.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+            for _ in 0..N {
+                let ran2 = Arc::clone(&ran);
+                rt.spawn(move || {
+                    ran2.fetch_add(1, Ordering::Relaxed);
+                });
+                let ran2 = Arc::clone(&ran);
+                rt.spawn_await(&open, move || {
+                    ran2.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            // The body, the blocker, N queued tasks and N continuations.
+            assert_eq!(scope.get().pending(), 2 + 2 * N);
+            assert_eq!(
+                scope.strong_count(),
+                before,
+                "a check-in must not take a reference count"
+            );
+            release.store(true, Ordering::Release);
+            gate.put(());
+        })
+        .expect("no task failed");
+        assert_eq!(ran.load(Ordering::Relaxed), 2 * N);
+        rt.shutdown();
     }
 }

@@ -184,9 +184,6 @@ impl SchedStats {
             snap.slab_misses += s.slab_misses.load(Ordering::Relaxed);
             snap.splits_elided += s.splits_elided.load(Ordering::Relaxed);
         }
-        // Process-global (promises are not bound to a runtime); monotonic, so
-        // `diff` attributes it to a measured region like the sharded counts.
-        snap.promise_inline_waiters = crate::promise::inline_waiters_total();
         snap.backstop_wakes = crate::event::BACKSTOP_WAKES.load(Ordering::Relaxed);
         snap
     }
@@ -231,9 +228,6 @@ pub struct SchedStatsSnapshot {
     pub slab_misses: u64,
     /// forasync splits skipped because every worker was already busy.
     pub splits_elided: u64,
-    /// Promise continuations stored in the inline slot (process-global:
-    /// promises are not bound to a runtime instance).
-    pub promise_inline_waiters: u64,
 }
 
 impl SchedStatsSnapshot {
@@ -283,9 +277,6 @@ impl SchedStatsSnapshot {
             slab_hits: self.slab_hits.saturating_sub(earlier.slab_hits),
             slab_misses: self.slab_misses.saturating_sub(earlier.slab_misses),
             splits_elided: self.splits_elided.saturating_sub(earlier.splits_elided),
-            promise_inline_waiters: self
-                .promise_inline_waiters
-                .saturating_sub(earlier.promise_inline_waiters),
         }
     }
 }
@@ -296,7 +287,7 @@ impl fmt::Display for SchedStatsSnapshot {
             f,
             "tasks={} pops={} steals={} batch_steals={} injector={} parks={} helped={} \
              wakes_sent={} wakes_skipped={} completion_wakes={} backstop_wakes={} panics={} \
-             inline={} slab_hits={} slab_misses={} splits_elided={} promise_inline={} \
+             inline={} slab_hits={} slab_misses={} splits_elided={} \
              steals/task={:.3} wake_eff={:.3}",
             self.tasks_executed,
             self.pops,
@@ -314,7 +305,6 @@ impl fmt::Display for SchedStatsSnapshot {
             self.slab_hits,
             self.slab_misses,
             self.splits_elided,
-            self.promise_inline_waiters,
             self.steals_per_task(),
             self.wake_efficiency()
         )

@@ -6,6 +6,14 @@
 //! suspension is expressed with continuations and help-first blocking rather
 //! than stack swapping (DESIGN.md §2.1).
 //!
+//! # The check-in keeps the scope alive (DESIGN.md §2.11)
+//!
+//! A task refers to its finish scope through a [`ScopeRef`]: a `Copy`
+//! pointer, not an `Arc`, so spawning and running a task moves no reference
+//! count. The task's check-in is what keeps the scope alive: `finish` owns
+//! the scope and frees it only after the count drained, and the check-out
+//! that drains it holds the allocation for its own wake-up of the waiter.
+//!
 //! # The task slab (DESIGN.md §2.11)
 //!
 //! Spawning used to cost one `Box<dyn FnOnce>` per task. Fine-grained task
@@ -19,8 +27,9 @@
 //! different threads, so the lists meet in a capped process-wide depot: a
 //! full list hands it a magazine of slots, and an empty one takes a magazine
 //! before it calls the allocator. In steady state the slots circulate and
-//! the allocator is out of the loop entirely. Closures bigger than
-//! [`SLOT_PAYLOAD_BYTES`] (or over-aligned ones) fall back to plain boxing.
+//! the allocator is out of the loop entirely. A closure bigger than
+//! [`SLOT_PAYLOAD_BYTES`] (or over-aligned) is boxed, and the box stored in
+//! a slot, so a body is always one word.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
@@ -157,8 +166,9 @@ fn release_slot(p: NonNull<Slot>) {
     }
 }
 
-/// A task closure stored in a recycled slab slot.
-pub(crate) struct SlabTask {
+/// The closure a task executes, stored in a recycled slab slot: one word,
+/// so a predicated task's continuation stays small.
+pub(crate) struct TaskBody {
     slot: NonNull<Slot>,
     /// The payload is an erased `F: FnOnce() + Send`; this marker keeps the
     /// auto traits honest (`Send` but not `Sync`).
@@ -167,7 +177,7 @@ pub(crate) struct SlabTask {
 
 // SAFETY: the slot is exclusively owned (moved with the task between
 // threads, never aliased) and the payload type is `Send` by construction.
-unsafe impl Send for SlabTask {}
+unsafe impl Send for TaskBody {}
 
 /// Recycles the slot once the closure has been read out of it — on normal
 /// return *and* on unwind, so a panicking task body still returns its slot.
@@ -179,10 +189,37 @@ impl Drop for RecycleGuard {
     }
 }
 
-impl SlabTask {
+/// How a task body was stored; drives the `tasks_inline` / `slab_hits` /
+/// `slab_misses` counters on the spawn path.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum BodyKind {
+    /// Inline in a recycled slot (no allocation).
+    SlabHit,
+    /// Inline in a freshly allocated slot (first use; it will recycle).
+    SlabMiss,
+    /// Closure too big or over-aligned for a slot: boxed, and the box
+    /// stored in a slot.
+    Boxed,
+}
+
+impl TaskBody {
+    /// Wraps `f`, inline in a slot when it fits, boxed otherwise.
+    pub(crate) fn new<F: FnOnce() + Send + 'static>(f: F) -> (TaskBody, BodyKind) {
+        match TaskBody::try_new(f) {
+            Ok((t, true)) => (t, BodyKind::SlabHit),
+            Ok((t, false)) => (t, BodyKind::SlabMiss),
+            Err(f) => {
+                let Ok((t, _)) = TaskBody::try_new(Box::new(f)) else {
+                    unreachable!("a box fits a slot")
+                };
+                (t, BodyKind::Boxed)
+            }
+        }
+    }
+
     /// Stores `f` in a slot if it fits; hands it back otherwise. The bool is
     /// `true` when the slot came off the free list (no allocation).
-    fn try_new<F: FnOnce() + Send + 'static>(f: F) -> Result<(SlabTask, bool), F> {
+    fn try_new<F: FnOnce() + Send + 'static>(f: F) -> Result<(TaskBody, bool), F> {
         if mem::size_of::<F>() > SLOT_PAYLOAD_BYTES
             || mem::align_of::<F>() > mem::align_of::<usize>()
         {
@@ -202,7 +239,7 @@ impl SlabTask {
             ((*s).payload.as_mut_ptr() as *mut F).write(f);
         }
         Ok((
-            SlabTask {
+            TaskBody {
                 slot,
                 _marker: PhantomData,
             },
@@ -213,7 +250,7 @@ impl SlabTask {
     /// Runs the closure and recycles the slot (to the *executing* thread's
     /// free list — that is what makes the slab circulate: workers that burn
     /// through tasks accumulate the slots they will spawn from next).
-    fn call(self) {
+    pub(crate) fn call(self) {
         let slot = self.slot;
         mem::forget(self); // our Drop would double-drop the payload
         let _recycle = RecycleGuard(slot);
@@ -227,52 +264,16 @@ impl SlabTask {
     }
 }
 
-impl Drop for SlabTask {
-    /// A task dropped without executing (queue drained at shutdown): release
-    /// the closure's captures, then recycle the slot.
+impl Drop for TaskBody {
+    /// A task dropped without executing (queue drained at shutdown, or a
+    /// predicated task whose dependency was poisoned): release the
+    /// closure's captures, then recycle the slot.
     fn drop(&mut self) {
         unsafe {
             let s = self.slot.as_ptr();
             ((*s).drop_in_place)((*s).payload.as_mut_ptr() as *mut u8);
         }
         release_slot(self.slot);
-    }
-}
-
-/// How a task body was stored; drives the `tasks_inline` / `slab_hits` /
-/// `slab_misses` counters on the spawn path.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum BodyKind {
-    /// Inline in a recycled slot (no allocation).
-    SlabHit,
-    /// Inline in a freshly allocated slot (first use; it will recycle).
-    SlabMiss,
-    /// Closure too big or over-aligned for a slot: plain box.
-    Boxed,
-}
-
-/// The closure a task executes: slab slot fast path, box fallback.
-pub(crate) enum TaskBody {
-    Slab(SlabTask),
-    Boxed(Box<dyn FnOnce() + Send + 'static>),
-}
-
-impl TaskBody {
-    /// Wraps `f`, preferring a slab slot.
-    pub(crate) fn new<F: FnOnce() + Send + 'static>(f: F) -> (TaskBody, BodyKind) {
-        match SlabTask::try_new(f) {
-            Ok((t, true)) => (TaskBody::Slab(t), BodyKind::SlabHit),
-            Ok((t, false)) => (TaskBody::Slab(t), BodyKind::SlabMiss),
-            Err(f) => (TaskBody::Boxed(Box::new(f)), BodyKind::Boxed),
-        }
-    }
-
-    /// Invokes the closure, consuming the body.
-    pub(crate) fn call(self) {
-        match self {
-            TaskBody::Slab(t) => t.call(),
-            TaskBody::Boxed(f) => f(),
-        }
     }
 }
 
@@ -284,7 +285,7 @@ pub(crate) struct Task {
     pub place: PlaceId,
     /// The innermost finish scope enclosing the spawn, if any. The task has
     /// already been checked in; the executor checks it out on completion.
-    pub scope: Option<Arc<FinishScope>>,
+    pub scope: Option<ScopeRef>,
     /// Trace identity: nonzero only for tasks spawned while tracing was
     /// enabled (0 = untraced; the executor emits no events for it).
     pub trace_id: u64,
@@ -305,15 +306,20 @@ impl std::fmt::Debug for Task {
 ///
 /// The counter starts at 1 (the scope body itself); each spawn inside the
 /// scope checks in, each completed task checks out, and the body checks out
-/// when it returns. A scope has exactly one waiter — the thread that called
-/// `finish` — so the check-out that drains the counter wakes that thread
-/// and nobody else: a targeted unpark if it is a worker parked between
-/// help-first searches, a notify on the scope's own cell otherwise. When the
-/// waiter itself is last out (or is busy helping) that costs two fences.
+/// when it returns. Tasks and the thread-local frame refer to the scope by
+/// a `ScopeRef`, kept valid by their check-in rather than by a reference
+/// count; the `finish` call owns the scope and drops it only once the
+/// counter drained (a body that unwinds leaks it instead, since tasks it
+/// spawned may still point to it). A scope has exactly one waiter — the
+/// thread that called `finish` — so the check-out that drains the counter
+/// wakes that thread and nobody else: a targeted unpark if it is a worker
+/// parked between help-first searches, a notify on the scope's own cell
+/// otherwise. When the waiter itself is last out (or is busy helping) that
+/// costs two fences.
 pub struct FinishScope {
     pending: AtomicUsize,
+    /// The waiter's wake hub and its worker id there, if it is a worker.
     hub: Arc<WakeHub>,
-    /// The waiter's worker id in `hub`, if it is one of its workers.
     waiter: Option<usize>,
     /// Where a waiter that cannot help (external, depth-capped) parks.
     pub(crate) cell: WaitCell,
@@ -337,9 +343,9 @@ impl FinishScope {
 
     /// Records a task failure; the first error wins (later failures of the
     /// same scope are dropped). Must happen *before* the failing task's
-    /// `check_out`: the release half of that `fetch_sub` publishes the
-    /// error to whichever thread observes the drained counter, so the
-    /// `finish` waiter cannot see a drained scope without also seeing it.
+    /// `check_out`: the release half of that decrement publishes the error
+    /// to whichever thread observes the drained counter, so the `finish`
+    /// waiter cannot see a drained scope without also seeing it.
     pub(crate) fn fail(&self, err: TaskError) {
         let _ = self.failed.set(err);
     }
@@ -351,24 +357,6 @@ impl FinishScope {
         self.failed.get().cloned()
     }
 
-    /// Registers one more task under this scope.
-    pub(crate) fn check_in(&self) {
-        let prev = self.pending.fetch_add(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "check_in on a completed finish scope");
-    }
-
-    /// Marks one task (or the body) complete.
-    pub(crate) fn check_out(&self) {
-        let prev = self.pending.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "check_out underflow");
-        if prev == 1 {
-            if let Some(w) = self.waiter {
-                self.hub.wake_worker(w);
-            }
-            self.cell.notify();
-        }
-    }
-
     /// True once every registered task has completed.
     pub fn is_done(&self) -> bool {
         self.pending.load(Ordering::Acquire) == 0
@@ -378,6 +366,81 @@ impl FinishScope {
     /// returned yet). Diagnostic only; racy by nature.
     pub fn pending(&self) -> usize {
         self.pending.load(Ordering::Relaxed)
+    }
+}
+
+/// A `Copy` reference to a [`FinishScope`] that `finish` allocated in an
+/// `Arc`. Whoever holds one holds a check-in (a queued or running task, a
+/// registered `spawn_await` continuation, the `finish` body itself), or is
+/// the thread-local frame of a thread running on such a holder's behalf;
+/// that check-in keeps the scope alive until [`check_out`](Self::check_out)
+/// gives it up.
+#[derive(Clone, Copy)]
+pub(crate) struct ScopeRef(NonNull<FinishScope>);
+
+// SAFETY: `FinishScope` is `Sync`, and a check-in, not the thread, keeps it
+// alive.
+unsafe impl Send for ScopeRef {}
+
+impl ScopeRef {
+    pub(crate) fn of(scope: &Arc<FinishScope>) -> ScopeRef {
+        ScopeRef(NonNull::from(&**scope))
+    }
+
+    /// The scope. Valid while the caller holds the check-in behind this
+    /// reference (see the type docs).
+    pub(crate) fn get(&self) -> &FinishScope {
+        // SAFETY: the holder's check-in keeps the scope alive.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Strong references to the scope's allocation.
+    #[cfg(test)]
+    pub(crate) fn strong_count(self) -> usize {
+        // SAFETY: as in `get`; the borrowed `Arc` is never dropped.
+        let arc = std::mem::ManuallyDrop::new(unsafe { Arc::from_raw(self.0.as_ptr()) });
+        Arc::strong_count(&arc)
+    }
+
+    /// Registers one more task under this scope, on behalf of a holder.
+    pub(crate) fn check_in(self) -> ScopeRef {
+        let prev = self.get().pending.fetch_add(1, Ordering::AcqRel);
+        debug_assert!(prev > 0, "check_in on a completed finish scope");
+        self
+    }
+
+    /// Marks one task (or the body) complete, giving up its check-in; the
+    /// reference must not be used again.
+    pub(crate) fn check_out(self) {
+        let scope = self.get();
+        let mut cur = scope.pending.load(Ordering::Acquire);
+        while cur > 1 {
+            match scope.pending.compare_exchange_weak(
+                cur,
+                cur - 1,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => return,
+                Err(seen) => cur = seen,
+            }
+        }
+        debug_assert_eq!(cur, 1, "check_out underflow");
+        // Ours is the last check-in, and only a holder checks in, so the
+        // count stays 1 until we release it. The waiter may drop the scope
+        // the moment it sees 0, so first take a strong count of our own to
+        // cover the wake-up below.
+        // SAFETY: our check-in keeps the allocation, which came from an
+        // `Arc` (`ScopeRef::of`), alive until the store below.
+        let keep = unsafe {
+            Arc::increment_strong_count(self.0.as_ptr());
+            Arc::from_raw(self.0.as_ptr())
+        };
+        keep.pending.store(0, Ordering::Release);
+        if let Some(w) = keep.waiter {
+            keep.hub.wake_worker(w);
+        }
+        keep.cell.notify();
     }
 }
 
@@ -398,18 +461,18 @@ mod tests {
     fn scope_counts_check_ins_and_outs() {
         let hub = Arc::new(WakeHub::new(1));
         let scope = FinishScope::new(Arc::clone(&hub), Some(0));
+        let body = ScopeRef::of(&scope);
         assert_eq!(scope.pending(), 1);
         assert!(!scope.is_done());
-        scope.check_in();
-        scope.check_in();
+        let (a, b) = (body.check_in(), body.check_in());
         assert_eq!(scope.pending(), 3);
-        scope.check_out();
-        scope.check_out();
+        a.check_out();
+        b.check_out();
         assert!(!scope.is_done());
         // The waiter is parked (or about to be): the draining check-out
         // must unpark exactly it.
         hub.register_idle(0);
-        scope.check_out(); // body done
+        body.check_out();
         assert!(scope.is_done());
         assert!(hub.park(0, std::time::Duration::from_secs(10)));
         assert_eq!(
@@ -417,47 +480,62 @@ mod tests {
             crate::event::Wake::Completion,
             "completion must wake the scope's waiter"
         );
+        assert_eq!(
+            Arc::strong_count(&scope),
+            1,
+            "the draining check-out gives its strong count back"
+        );
     }
 
     #[test]
     fn concurrent_check_in_out_balance() {
         let scope = FinishScope::new(Arc::new(WakeHub::new(0)), None);
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let scope = Arc::clone(&scope);
-                std::thread::spawn(move || {
+        let body = ScopeRef::of(&scope);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(move || {
                     for _ in 0..1000 {
-                        scope.check_in();
-                        scope.check_out();
+                        body.check_in().check_out();
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         assert_eq!(scope.pending(), 1);
-        scope.check_out();
+        body.check_out();
         assert!(scope.is_done());
     }
 
     #[test]
     fn concurrent_fails_keep_exactly_one_error() {
         let scope = FinishScope::new(Arc::new(WakeHub::new(0)), None);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let scope = Arc::clone(&scope);
-                std::thread::spawn(move || scope.fail(TaskError::new(format!("t{}", i))))
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        std::thread::scope(|s| {
+            for i in 0..4 {
+                let scope = &scope;
+                s.spawn(move || scope.fail(TaskError::new(format!("t{}", i))));
+            }
+        });
         let err = scope.error().expect("one error must be recorded");
         assert!(err.message.starts_with('t'));
         // First-wins: a later fail never overwrites.
         scope.fail(TaskError::new("late"));
         assert_eq!(scope.error().unwrap().message, err.message);
+    }
+
+    #[test]
+    fn last_check_out_outlives_a_waiter_that_drops_the_scope() {
+        // The waiter drops its `Arc` the moment it sees the drain, while
+        // the last check-out may still be waking it: that check-out's own
+        // strong count must keep the scope allocated until it is done.
+        for _ in 0..200 {
+            let scope = FinishScope::new(Arc::new(WakeHub::new(0)), None);
+            let task = ScopeRef::of(&scope).check_in();
+            ScopeRef::of(&scope).check_out(); // the body
+            let t = std::thread::spawn(move || task.check_out());
+            let wakes = scope.cell.wait(|| scope.is_done());
+            drop(scope);
+            t.join().unwrap();
+            assert!(wakes <= 1);
+        }
     }
 
     #[test]
@@ -490,6 +568,7 @@ mod tests {
             t.fetch_add(big[0] as u64, Ordering::SeqCst);
         });
         assert_eq!(kind, BodyKind::Boxed);
+        assert_eq!(mem::size_of_val(&body), mem::size_of::<usize>());
         body.call();
         assert_eq!(total.load(Ordering::SeqCst), 3);
     }

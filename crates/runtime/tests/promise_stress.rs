@@ -1,7 +1,7 @@
 //! Property tests for the lock-free promise state machine.
 //!
-//! The unit tests in `promise.rs` pin specific interleavings (inline slot,
-//! poison-after-waiters, a fixed-shape registration race). These tests
+//! The unit tests in `promise.rs` pin specific interleavings (waiter slots
+//! and their overflow, poison-after-waiters, a fixed-shape registration race). These tests
 //! randomize the shape instead: how many continuations register before the
 //! completion, how many threads race their registrations *against* the
 //! completion, and whether the promise is satisfied or poisoned. The

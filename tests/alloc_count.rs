@@ -8,6 +8,7 @@
 //! | row | budget |
 //! |---|---|
 //! | single-waiter promise round-trip | ≤ 1 (the promise's `Arc`) |
+//! | three waiters registering on one pending future | 0 |
 //! | `when_all` of 3 fresh futures | ≤ 2 (output promise, join) |
 //! | `spawn_await_all` on 3 pending fresh futures | ≤ 1 (the join) |
 //! | `spawn_await` of a 40-byte body on a pending future | 0 |
@@ -82,6 +83,25 @@ fn promise_round_trip() -> u64 {
         assert_eq!(fut.get(), 9);
     });
     assert_eq!(HITS.load(Ordering::SeqCst), seen + 1);
+    made
+}
+
+/// Three continuations registered on one pending future: each takes one of
+/// its waiter slots. The window covers the registrations only.
+fn three_waiters() -> u64 {
+    static HITS: AtomicUsize = AtomicUsize::new(0);
+    let seen = HITS.load(Ordering::SeqCst);
+    let p = Promise::<u32>::new();
+    let fut = p.future();
+    let (made, ()) = count(|| {
+        for _ in 0..3 {
+            fut.on_ready(|| {
+                HITS.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+    });
+    p.put(9);
+    assert_eq!(HITS.load(Ordering::SeqCst), seen + 3);
     made
 }
 
@@ -188,6 +208,12 @@ fn spawn_path_allocation_budget() {
     // ---- Rows without a runtime: no worker thread can pollute these. ----
     promise_round_trip();
     assert_budget("single-waiter promise round-trip", promise_round_trip(), 1);
+    three_waiters();
+    assert_budget(
+        "three waiters registering on one pending future",
+        three_waiters(),
+        0,
+    );
     when_all_of_three();
     assert_budget("when_all of 3 fresh futures", when_all_of_three(), 2);
 
