@@ -1,6 +1,7 @@
 //! Post-mortem profiler: replays a Chrome trace (written by any harness's
-//! `--trace out.json`) into the task-DAG critical path, per-worker
-//! utilization timelines, and load-imbalance / steal-locality summaries.
+//! `--trace out.json`) into the summary the traced run printed at exit:
+//! task-DAG critical path, per-worker utilization timelines, load-imbalance
+//! / steal-locality summaries, per-module time and queue latencies.
 //!
 //! ```text
 //! cargo run --release -p hiper-bench --bin profile -- trace.json [--out summary.txt] [--strict]

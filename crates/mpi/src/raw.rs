@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use hiper_netsim::collective::{self, CollLink};
 use hiper_netsim::{Channel, Message, Rank, ReliableTransport, RetryConfig, Transport};
 use hiper_runtime::ModuleError;
 use parking_lot::{Condvar, Mutex};
@@ -34,10 +35,8 @@ fn internal_tag(op: u8, round: u8, seq: u64) -> u64 {
     INTERNAL | ((op as u64) << 48) | ((round as u64) << 40) | (seq & 0xFF_FFFF_FFFF)
 }
 
+/// Opcodes 1-3 are the tree collectives of [`hiper_netsim::collective`].
 mod collop {
-    pub const BARRIER: u8 = 1;
-    pub const BCAST: u8 = 2;
-    pub const REDUCE: u8 = 3;
     pub const GATHER: u8 = 5;
     pub const ALLTOALL: u8 = 7;
     pub const ALLTOALLV: u8 = 8;
@@ -243,10 +242,6 @@ impl RawComm {
     /// Nonblocking receive (MPI_Irecv): matches the unexpected queue first,
     /// then posts.
     pub fn irecv(&self, src: Option<Rank>, tag: Option<u64>) -> Request {
-        self.irecv_internal(src, tag)
-    }
-
-    fn irecv_internal(&self, src: Option<Rank>, tag: Option<u64>) -> Request {
         let mut st = self.state.lock();
         if let Some(idx) = st.unexpected.iter().position(|(s, t, _)| {
             src.is_none_or(|want| want == *s) && tag.is_none_or(|want| want == *t)
@@ -272,11 +267,6 @@ impl RawComm {
         self.irecv(src, tag).wait()
     }
 
-    /// Waits for every request (MPI_Waitall).
-    pub fn waitall(&self, reqs: &[Request]) -> Vec<RecvStatus> {
-        reqs.iter().map(Request::wait).collect()
-    }
-
     // ------------------------------------------------------------------
     // Collectives. All ranks must call each collective in the same order
     // (MPI requirement); a per-rank sequence number keeps consecutive
@@ -287,66 +277,16 @@ impl RawComm {
         self.coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn coll_send(&self, dst: Rank, op: u8, round: u8, seq: u64, data: Bytes) {
-        self.transport
-            .send(dst, Channel::MPI, internal_tag(op, round, seq), data);
-    }
-
-    fn coll_recv(&self, src: Rank, op: u8, round: u8, seq: u64) -> Bytes {
-        self.irecv_internal(Some(src), Some(internal_tag(op, round, seq)))
-            .wait()
-            .data
-    }
-
     /// Dissemination barrier: log2(P) rounds.
     pub fn barrier(&self) {
-        let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        if p == 1 {
-            return;
-        }
-        let mut round = 0u8;
-        let mut dist = 1usize;
-        while dist < p {
-            let dst = (me + dist) % p;
-            let src = (me + p - dist) % p;
-            self.coll_send(dst, collop::BARRIER, round, seq, Bytes::new());
-            let _ = self.coll_recv(src, collop::BARRIER, round, seq);
-            dist <<= 1;
-            round += 1;
-        }
+        collective::barrier(self, self.rank(), self.nranks(), self.next_seq());
     }
 
     /// Binomial-tree broadcast from `root`; returns the broadcast payload on
     /// every rank (`data` is ignored on non-roots).
     pub fn bcast(&self, root: Rank, data: Bytes) -> Bytes {
         let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        if p == 1 {
-            return data;
-        }
-        let rel = (me + p - root) % p;
-        let mut buf = data;
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask != 0 {
-                let src = (me + p - mask) % p;
-                buf = self.coll_recv(src, collop::BCAST, 0, seq);
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if rel + mask < p {
-                let dst = (me + mask) % p;
-                self.coll_send(dst, collop::BCAST, 0, seq, buf.clone());
-            }
-            mask >>= 1;
-        }
-        buf
+        collective::bcast(self, self.rank(), self.nranks(), seq, root, data)
     }
 
     /// Binomial-tree reduction of byte payloads to rank 0 with a caller
@@ -357,23 +297,7 @@ impl RawComm {
         combine: &dyn Fn(&[u8], &[u8]) -> Bytes,
     ) -> Option<Bytes> {
         let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        let mut acc = mine;
-        let mut mask = 1usize;
-        while mask < p {
-            if me & mask != 0 {
-                self.coll_send(me - mask, collop::REDUCE, 0, seq, acc);
-                return None;
-            }
-            let src = me + mask;
-            if src < p {
-                let other = self.coll_recv(src, collop::REDUCE, 0, seq);
-                acc = combine(&acc, &other);
-            }
-            mask <<= 1;
-        }
-        Some(acc)
+        collective::reduce(self, self.rank(), self.nranks(), seq, mine, combine)
     }
 
     /// Reduce + broadcast: every rank gets the combined value.
@@ -395,7 +319,7 @@ impl RawComm {
                 .map(|src| {
                     (
                         src,
-                        self.irecv_internal(Some(src), Some(internal_tag(collop::GATHER, 0, seq))),
+                        self.irecv(Some(src), Some(internal_tag(collop::GATHER, 0, seq))),
                     )
                 })
                 .collect();
@@ -442,41 +366,25 @@ impl RawComm {
     /// us, indexed by source. Implements the O(P²) exchange that makes flat
     /// ISx degrade at scale (paper §III-B).
     pub fn alltoall(&self, parts: Vec<Bytes>) -> Vec<Bytes> {
-        let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        assert_eq!(parts.len(), p, "alltoall requires one part per rank");
-        let tag = internal_tag(collop::ALLTOALL, 0, seq);
-        // Post all receives first (avoids unexpected-queue churn), then send.
-        let reqs: Vec<(Rank, Request)> = (0..p)
-            .filter(|&src| src != me)
-            .map(|src| (src, self.irecv_internal(Some(src), Some(tag))))
-            .collect();
-        let mut out = vec![Bytes::new(); p];
-        for (dst, part) in parts.into_iter().enumerate() {
-            if dst == me {
-                out[me] = part;
-            } else {
-                self.transport.send(dst, Channel::MPI, tag, part);
-            }
-        }
-        for (src, req) in reqs {
-            out[src] = req.wait().data;
-        }
-        out
+        self.exchange(collop::ALLTOALL, parts)
     }
 
     /// Alltoallv is alltoall with per-pair sizes; with self-sizing payloads
     /// it is the same exchange under a different internal opcode.
     pub fn alltoallv(&self, parts: Vec<Bytes>) -> Vec<Bytes> {
+        self.exchange(collop::ALLTOALLV, parts)
+    }
+
+    fn exchange(&self, op: u8, parts: Vec<Bytes>) -> Vec<Bytes> {
         let seq = self.next_seq();
         let p = self.nranks();
         let me = self.rank();
-        assert_eq!(parts.len(), p);
-        let tag = internal_tag(collop::ALLTOALLV, 0, seq);
+        assert_eq!(parts.len(), p, "alltoall requires one part per rank");
+        let tag = internal_tag(op, 0, seq);
+        // Post all receives first (avoids unexpected-queue churn), then send.
         let reqs: Vec<(Rank, Request)> = (0..p)
             .filter(|&src| src != me)
-            .map(|src| (src, self.irecv_internal(Some(src), Some(tag))))
+            .map(|src| (src, self.irecv(Some(src), Some(tag))))
             .collect();
         let mut out = vec![Bytes::new(); p];
         for (dst, part) in parts.into_iter().enumerate() {
@@ -519,6 +427,19 @@ impl RawComm {
         } else {
             self.coll_recv(me - 1, collop::SCAN, 0, seq)
         }
+    }
+}
+
+impl CollLink for RawComm {
+    fn coll_send(&self, dst: Rank, op: u8, round: u8, seq: u64, data: Bytes) {
+        self.transport
+            .send(dst, Channel::MPI, internal_tag(op, round, seq), data);
+    }
+
+    fn coll_recv(&self, src: Rank, op: u8, round: u8, seq: u64) -> Bytes {
+        self.irecv(Some(src), Some(internal_tag(op, round, seq)))
+            .wait()
+            .data
     }
 }
 

@@ -16,6 +16,7 @@
 //! destination rank's runtime.
 
 mod cluster;
+pub mod collective;
 mod engine;
 mod fault;
 mod message;
@@ -27,7 +28,7 @@ pub use cluster::{Cluster, RankEnv, SpmdBuilder};
 pub use engine::{NetConfig, NetStats, NetStatsSnapshot};
 pub use fault::{FaultDecision, FaultPlan, Partition, RankKill};
 pub use message::{Channel, Message, Rank};
-pub use reliable::{CoalesceConfig, ReliableStatsSnapshot, ReliableTransport, RetryConfig};
+pub use reliable::{ReliableStatsSnapshot, ReliableTransport, RetryConfig};
 pub use supervise::{CrashToken, KillSpec, RecoveryError, SupervisedCtx, SupervisorHarness};
 
 pub use cluster::Transport;

@@ -138,30 +138,15 @@ const ACK_DELAY: Duration = Duration::from_micros(100);
 /// Owed-ack count that forces an immediate standalone flush.
 const ACK_THRESHOLD: u32 = 16;
 
-/// Send-coalescing (Nagle) thresholds; [`ReliableTransport::set_coalesce`]
-/// overrides the defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct CoalesceConfig {
-    /// Only frames with payloads at most this large are staged (512 B).
-    pub max_payload: usize,
-    /// Flush the stage once it holds this many payload bytes (4 KiB).
-    pub flush_bytes: usize,
-    /// Flush the stage once it holds this many frames (16).
-    pub flush_frames: usize,
-    /// Flush deadline for a non-full stage (100 µs).
-    pub delay: Duration,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> CoalesceConfig {
-        CoalesceConfig {
-            max_payload: 512,
-            flush_bytes: 4096,
-            flush_frames: 16,
-            delay: Duration::from_micros(100),
-        }
-    }
-}
+/// Send coalescing (Nagle): only frames with payloads at most this large
+/// are staged.
+const STAGE_MAX_PAYLOAD: usize = 512;
+/// A stage flushes once it holds this many payload bytes...
+const STAGE_FLUSH_BYTES: usize = 4096;
+/// ...or this many frames...
+const STAGE_FLUSH_FRAMES: usize = 16;
+/// ...or when this long has passed since its first frame.
+const STAGE_DELAY: Duration = Duration::from_micros(100);
 
 /// A stored logical frame: (channel, tag, payload, causal span). The
 /// payload is the *user* `Bytes` — shared by refcount with the original
@@ -308,8 +293,6 @@ struct State {
     /// Channels with registered handlers; control frames (`RESTART`,
     /// `CKPT`, delayed acks) travel on the first one.
     channels: Vec<Channel>,
-    /// Send-coalescing thresholds.
-    coalesce: CoalesceConfig,
 }
 
 /// Point-in-time copy of the reliable layer's message-path counters
@@ -414,7 +397,6 @@ impl ReliableTransport {
                 sleeping_until: None,
                 flush_waiters: 0,
                 channels: Vec::new(),
-                coalesce: CoalesceConfig::default(),
             }),
             cond: Condvar::new(),
             drained: Condvar::new(),
@@ -562,12 +544,6 @@ impl ReliableTransport {
             flusher_wakeups: self.flusher_wakeups.load(Ordering::Relaxed),
             flusher_pokes_suppressed: self.flusher_pokes_suppressed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Overrides the send-coalescing thresholds (tests stage aggressively
-    /// with it).
-    pub fn set_coalesce(&self, cfg: CoalesceConfig) {
-        self.state.lock().coalesce = cfg;
     }
 
     /// This endpoint's current epoch (incarnation number).
@@ -840,7 +816,6 @@ impl ReliableTransport {
         let outs = {
             let mut st = self.state.lock();
             let my_epoch = st.my_epoch;
-            let co = st.coalesce;
             let peer = &mut st.peers[dst];
             if peer.dead {
                 return;
@@ -861,14 +836,15 @@ impl ReliableTransport {
             let outs = if peer.quiesced {
                 // Queue silently; the release retransmits from the head.
                 Vec::new()
-            } else if busy && payload.len() <= co.max_payload {
+            } else if busy && payload.len() <= STAGE_MAX_PAYLOAD {
                 peer.staged.push(seq);
                 peer.staged_bytes += SUB_OVERHEAD + payload.len();
-                if peer.staged.len() >= co.flush_frames || peer.staged_bytes >= co.flush_bytes {
+                if peer.staged.len() >= STAGE_FLUSH_FRAMES || peer.staged_bytes >= STAGE_FLUSH_BYTES
+                {
                     self.drain_staged(peer, my_epoch, dst)
                 } else {
                     if peer.stage_deadline.is_none() {
-                        peer.stage_deadline = Some(Instant::now() + co.delay);
+                        peer.stage_deadline = Some(Instant::now() + STAGE_DELAY);
                     }
                     Vec::new()
                 }

@@ -7,8 +7,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use hiper_netsim::{
-    Channel, Cluster, CoalesceConfig, DeliveryEngine, FaultPlan, Message, NetConfig,
-    ReliableTransport, RetryConfig,
+    Channel, Cluster, DeliveryEngine, FaultPlan, Message, NetConfig, ReliableTransport, RetryConfig,
 };
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -147,7 +146,9 @@ proptest! {
     /// Jumbo coalescing must preserve per-channel FIFO and exactly-once
     /// delivery under the full fault grid (drop + dup + reorder): staged
     /// frames ride shared carriers, carriers get dropped/duplicated/
-    /// reordered whole, and the seq layer must undo all of it.
+    /// reordered whole, and the seq layer must undo all of it. The burst
+    /// runs on the default thresholds: 80 back-to-back 8-byte frames fill
+    /// 16-frame stages.
     #[test]
     fn coalesced_framing_survives_fault_grid(
         seed in any::<u64>(),
@@ -163,13 +164,6 @@ proptest! {
         let cluster = Cluster::start_with_faults(2, NetConfig::instant(), Some(plan));
         let sender = ReliableTransport::new(cluster.transport(0), "test", RetryConfig::default());
         let receiver = ReliableTransport::new(cluster.transport(1), "test", RetryConfig::default());
-        // Aggressive staging so most frames travel inside jumbos.
-        sender.set_coalesce(CoalesceConfig {
-            max_payload: 512,
-            flush_bytes: 1 << 16,
-            flush_frames: 8,
-            delay: Duration::from_micros(50),
-        });
         sender.register_handler(Channel::APP, Box::new(|_| {}));
         let seen: Arc<Mutex<Observed>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);

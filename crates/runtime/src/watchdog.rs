@@ -432,6 +432,12 @@ pub fn dump_record(reason: &str) -> Option<PathBuf> {
     let suspicion = gather_suspicion(Duration::ZERO);
     let progress = PROGRESS.load(Ordering::Relaxed);
     let record = render_flight_record(&config, reason, Duration::ZERO, progress, &suspicion);
+    write_record(&config, reason, &record)
+}
+
+/// Writes `record` to the configured path, else to
+/// `hiper-flightrec-<unix_ms>.json`, and says where on stderr.
+fn write_record(config: &Config, reason: &str, record: &str) -> Option<PathBuf> {
     let path = config.record_path.clone().unwrap_or_else(|| {
         let unix_ms = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
@@ -439,7 +445,7 @@ pub fn dump_record(reason: &str) -> Option<PathBuf> {
             .unwrap_or(0);
         PathBuf::from(format!("hiper-flightrec-{}.json", unix_ms))
     });
-    match std::fs::write(&path, &record) {
+    match std::fs::write(&path, record) {
         Ok(()) => {
             eprintln!(
                 "[hiper-watchdog] flight record ({}): {}",
@@ -484,14 +490,6 @@ fn handle_stall(config: &Config, frozen_for: Duration, progress: u64, suspicion:
     let stuck_span = stuck.map(|(_, p)| p.span).unwrap_or(0);
     let stuck_rank = stuck.and_then(|(_, p)| p.rank);
     let record = render_flight_record(config, "stall", frozen_for, progress, &suspicion);
-    let path = config.record_path.clone().unwrap_or_else(|| {
-        let unix_ms = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_millis())
-            .unwrap_or(0);
-        PathBuf::from(format!("hiper-flightrec-{}.json", unix_ms))
-    });
-    let wrote = std::fs::write(&path, &record);
     eprintln!(
         "[hiper-watchdog] STALL: no global progress for {:.1}s \
          ({} unresolved promise(s), {} probe report(s)); stuck span {}{}",
@@ -507,14 +505,7 @@ fn handle_stall(config: &Config, frozen_for: Duration, progress: u64, suspicion:
     for (name, report) in &suspicion.probe_reports {
         eprintln!("[hiper-watchdog]   probe {}: {}", name, report);
     }
-    match wrote {
-        Ok(()) => eprintln!("[hiper-watchdog] flight record: {}", path.display()),
-        Err(e) => eprintln!(
-            "[hiper-watchdog] failed to write flight record {}: {}",
-            path.display(),
-            e
-        ),
-    }
+    write_record(config, "stall", &record);
     if config.mode == Mode::Abort {
         eprintln!("[hiper-watchdog] aborting (HIPER_WATCHDOG=abort)");
         std::process::exit(86);

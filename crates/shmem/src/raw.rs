@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use hiper_netsim::collective::{self, CollLink};
 use hiper_netsim::{Channel, Message, Rank, ReliableTransport, RetryConfig, Transport};
 use hiper_runtime::ModuleError;
 use parking_lot::{Condvar, Mutex};
@@ -67,10 +68,8 @@ mod amo {
     pub const CSWAP: u8 = 2;
 }
 
+/// Opcodes 1-3 are the tree collectives of [`hiper_netsim::collective`].
 mod collop {
-    pub const BARRIER: u8 = 1;
-    pub const BCAST: u8 = 2;
-    pub const REDUCE: u8 = 3;
     pub const ALLTOALL: u8 = 4;
 }
 
@@ -761,96 +760,23 @@ impl RawShmem {
         self.coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn coll_send(&self, dst: Rank, t: u64, data: Bytes) {
-        self.transport.send(dst, Channel::SHMEM, t, data);
-    }
-
-    fn coll_recv(&self, src: Rank, t: u64) -> Bytes {
-        let mut coll = self.coll.lock();
-        loop {
-            if let Some(queue) = coll.get_mut(&(src, t)) {
-                if let Some(data) = queue.pop_front() {
-                    if queue.is_empty() {
-                        coll.remove(&(src, t));
-                    }
-                    return data;
-                }
-            }
-            self.coll_cond.wait(&mut coll);
-        }
-    }
-
     /// `shmem_barrier_all`: quiet + dissemination barrier.
     pub fn barrier_all(&self) {
         self.quiet();
-        let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        let mut dist = 1usize;
-        let mut round = 0u8;
-        while dist < p {
-            let dst = (me + dist) % p;
-            let src = (me + p - dist) % p;
-            self.coll_send(dst, coll_tag(collop::BARRIER, round, seq), Bytes::new());
-            let _ = self.coll_recv(src, coll_tag(collop::BARRIER, round, seq));
-            dist <<= 1;
-            round += 1;
-        }
+        collective::barrier(self, self.rank(), self.nranks(), self.next_seq());
     }
 
     /// Binomial broadcast of a byte payload from `root`.
     pub fn broadcast(&self, root: Rank, data: Bytes) -> Bytes {
         let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        if p == 1 {
-            return data;
-        }
-        let rel = (me + p - root) % p;
-        let mut buf = data;
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask != 0 {
-                let src = (me + p - mask) % p;
-                buf = self.coll_recv(src, coll_tag(collop::BCAST, 0, seq));
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if rel + mask < p {
-                let dst = (me + mask) % p;
-                self.coll_send(dst, coll_tag(collop::BCAST, 0, seq), buf.clone());
-            }
-            mask >>= 1;
-        }
-        buf
+        collective::bcast(self, self.rank(), self.nranks(), seq, root, data)
     }
 
     /// Reduce-to-zero + broadcast with a caller combine (`*_to_all`).
     pub fn to_all_bytes(&self, mine: Bytes, combine: &dyn Fn(&[u8], &[u8]) -> Bytes) -> Bytes {
         let seq = self.next_seq();
-        let p = self.nranks();
-        let me = self.rank();
-        let mut acc = mine;
-        let mut mask = 1usize;
-        let mut reduced = true;
-        while mask < p {
-            if me & mask != 0 {
-                self.coll_send(me - mask, coll_tag(collop::REDUCE, 0, seq), acc.clone());
-                reduced = false;
-                break;
-            }
-            let src = me + mask;
-            if src < p {
-                let other = self.coll_recv(src, coll_tag(collop::REDUCE, 0, seq));
-                acc = combine(&acc, &other);
-            }
-            mask <<= 1;
-        }
-        let _ = reduced;
-        self.broadcast(0, if me == 0 { acc } else { Bytes::new() })
+        let reduced = collective::reduce(self, self.rank(), self.nranks(), seq, mine, combine);
+        self.broadcast(0, reduced.unwrap_or_default())
     }
 
     /// `shmem_longlong_sum_to_all` over a u64 vector.
@@ -899,10 +825,10 @@ impl RawShmem {
         let p = self.nranks();
         let me = self.rank();
         assert_eq!(mine.len(), p);
-        let t = coll_tag(collop::ALLTOALL, 0, seq);
         for (dst, &v) in mine.iter().enumerate() {
             if dst != me {
-                self.coll_send(dst, t, Bytes::copy_from_slice(&v.to_le_bytes()));
+                let word = Bytes::copy_from_slice(&v.to_le_bytes());
+                self.coll_send(dst, collop::ALLTOALL, 0, seq, word);
             }
         }
         (0..p)
@@ -910,11 +836,34 @@ impl RawShmem {
                 if src == me {
                     mine[me]
                 } else {
-                    let b = self.coll_recv(src, t);
+                    let b = self.coll_recv(src, collop::ALLTOALL, 0, seq);
                     u64::from_le_bytes(b[..8].try_into().unwrap())
                 }
             })
             .collect()
+    }
+}
+
+impl CollLink for RawShmem {
+    fn coll_send(&self, dst: Rank, op: u8, round: u8, seq: u64, data: Bytes) {
+        let t = coll_tag(op, round, seq);
+        self.transport.send(dst, Channel::SHMEM, t, data);
+    }
+
+    fn coll_recv(&self, src: Rank, op: u8, round: u8, seq: u64) -> Bytes {
+        let t = coll_tag(op, round, seq);
+        let mut coll = self.coll.lock();
+        loop {
+            if let Some(queue) = coll.get_mut(&(src, t)) {
+                if let Some(data) = queue.pop_front() {
+                    if queue.is_empty() {
+                        coll.remove(&(src, t));
+                    }
+                    return data;
+                }
+            }
+            self.coll_cond.wait(&mut coll);
+        }
     }
 }
 

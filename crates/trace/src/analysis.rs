@@ -1,5 +1,7 @@
 //! Post-mortem trace analysis: task-DAG critical path, per-worker
-//! utilization timelines, and load-imbalance / steal-locality summaries.
+//! utilization timelines, load-imbalance / steal-locality summaries, and
+//! the event, per-module and queue-latency totals a [`crate::TraceSession`]
+//! prints at finish.
 //!
 //! Works over drained [`TraceData`] — either a live drain at the end of a
 //! run or a Chrome trace re-parsed back into events (`hiper-bench` ships
@@ -15,7 +17,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::ring::EventKind;
+use crate::chrome::module_span_name;
+use crate::ring::{EventKind, TraceEvent};
 use crate::TraceData;
 
 /// How the executing worker obtained a task.
@@ -171,6 +174,45 @@ pub struct LoadSummary {
     pub mean_probe_depth: f64,
 }
 
+/// Calls into one module span name and the time inside them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModuleTime {
+    /// Completed spans.
+    pub calls: u64,
+    /// Time inside them (ns), including spans nested in them.
+    pub total_ns: u64,
+}
+
+/// Count, mean and exact (nearest-rank) quantiles of a set of durations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Latency {
+    /// Samples.
+    pub n: u64,
+    /// Mean (ns, rounded down).
+    pub mean_ns: u64,
+    /// Median (ns).
+    pub p50_ns: u64,
+    /// 99th percentile (ns).
+    pub p99_ns: u64,
+}
+
+impl Latency {
+    fn of(mut samples: Vec<u64>) -> Latency {
+        if samples.is_empty() {
+            return Latency::default();
+        }
+        samples.sort_unstable();
+        let n = samples.len();
+        let rank = |q: f64| samples[((n as f64 * q).ceil() as usize).clamp(1, n) - 1];
+        Latency {
+            n: n as u64,
+            mean_ns: samples.iter().sum::<u64>() / n as u64,
+            p50_ns: rank(0.5),
+            p99_ns: rank(0.99),
+        }
+    }
+}
+
 /// Full post-mortem analysis of one drained trace.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileAnalysis {
@@ -191,6 +233,15 @@ pub struct ProfileAnalysis {
     pub workers: Vec<WorkerTimeline>,
     /// Imbalance and locality aggregates.
     pub load: LoadSummary,
+    /// Event counts by kind name.
+    pub counts: BTreeMap<&'static str, u64>,
+    /// Module span totals keyed `module` or `module:op`.
+    pub modules: BTreeMap<String, ModuleTime>,
+    /// Spawn→begin wait of every task whose spawn and begin are both
+    /// in the trace.
+    pub queue_latency: Latency,
+    /// Park span durations (how long workers slept).
+    pub park_latency: Latency,
 }
 
 /// One endpoint of a causal message edge (`MsgSend` / `MsgDeliver`
@@ -266,6 +317,7 @@ impl ProfileAnalysis {
                 .map(|m| m + 1);
             for e in &track.events {
                 out.events += 1;
+                *out.counts.entry(e.kind.name()).or_insert(0) += 1;
                 min_ts = min_ts.min(e.ts_ns);
                 max_ts = max_ts.max(e.ts_ns);
                 match e.kind {
@@ -328,8 +380,10 @@ impl ProfileAnalysis {
         }
 
         // Pass 2: per-track spans — top-level task busy intervals feed the
-        // utilization bins, module intervals feed critical-path attribution.
+        // utilization bins, module intervals feed critical-path attribution
+        // and the per-module totals.
         let mut module_intervals: Vec<Vec<(u64, u64)>> = vec![Vec::new(); data.tracks.len()];
+        let mut parks: Vec<u64> = Vec::new();
         for (ti, track) in data.tracks.iter().enumerate() {
             if track.events.is_empty() {
                 continue;
@@ -342,7 +396,7 @@ impl ProfileAnalysis {
                 bins: vec![0.0; BINS],
             };
             let mut task_stack: Vec<u64> = Vec::new();
-            let mut module_stack: Vec<u64> = Vec::new();
+            let mut module_stack: Vec<TraceEvent> = Vec::new();
             let mut park_start: Option<u64> = None;
             for e in &track.events {
                 match e.kind {
@@ -361,12 +415,18 @@ impl ProfileAnalysis {
                     EventKind::Park => park_start = Some(e.ts_ns),
                     EventKind::Unpark => {
                         if let Some(begin) = park_start.take() {
-                            tl.parked_ns += e.ts_ns.saturating_sub(begin);
+                            let dur = e.ts_ns.saturating_sub(begin);
+                            tl.parked_ns += dur;
+                            parks.push(dur);
                         }
                     }
-                    EventKind::ModuleEnter => module_stack.push(e.ts_ns),
+                    EventKind::ModuleEnter => module_stack.push(*e),
                     EventKind::ModuleExit => {
-                        if let Some(begin) = module_stack.pop() {
+                        if let Some(enter) = module_stack.pop() {
+                            let begin = enter.ts_ns;
+                            let m = out.modules.entry(module_span_name(&enter)).or_default();
+                            m.calls += 1;
+                            m.total_ns += e.ts_ns.saturating_sub(begin);
                             // Top-level module spans only: nested calls are
                             // already covered by the outer interval.
                             if module_stack.is_empty() {
@@ -379,6 +439,14 @@ impl ProfileAnalysis {
             }
             out.workers.push(tl);
         }
+        out.park_latency = Latency::of(parks);
+        out.queue_latency = Latency::of(
+            tasks
+                .values()
+                .filter(|r| r.spawn_ts != 0 && r.begin_ts != 0)
+                .map(|r| r.begin_ts.saturating_sub(r.spawn_ts))
+                .collect(),
+        );
 
         // Load imbalance over *worker* tracks (external threads excluded —
         // their "tasks" are finish-scope bodies, not stealable work).
@@ -478,74 +546,130 @@ fn critical_path(
     }
     chain.reverse();
 
-    let mut cp = CriticalPath {
-        chain: chain.clone(),
-        ..CriticalPath::default()
-    };
     let root = &tasks[&chain[0]];
     let leaf = &tasks[&chain[chain.len() - 1]];
     let start = root.begin_ts;
-    cp.total_ns = leaf.end_ts.saturating_sub(start);
 
     // Partition [root.begin, leaf.end] at every child's spawn and begin.
     // Timestamps are clamped monotone so the slices tile the interval
     // exactly even if cross-thread clock reads jitter by a few ns.
-    let mut push = |cp: &mut CriticalPath, task: u64, kind: SegmentKind, s: u64, e: u64| {
-        let dur = e.saturating_sub(s);
-        if dur == 0 {
-            return;
-        }
-        match kind {
-            SegmentKind::Compute => cp.compute_ns += dur,
-            SegmentKind::Module => cp.module_ns += dur,
-            SegmentKind::PopWait => cp.pop_wait_ns += dur,
-            SegmentKind::StealWait => cp.steal_wait_ns += dur,
-            SegmentKind::Wire => cp.wire_ns += dur,
-            SegmentKind::BlockedOnRemote => cp.blocked_remote_ns += dur,
-        }
-        cp.segments.push(Segment {
-            task,
-            kind,
-            start_ns: s,
-            dur_ns: dur,
-            rank: None,
-        });
-    };
-    // Splits one execution slice of `owner` into compute + module time
-    // using the owner track's module intervals. The module total within
-    // the slice is emitted as a single segment (attribution, not layout).
-    let compute_slice = |cp: &mut CriticalPath,
-                         push: &mut dyn FnMut(&mut CriticalPath, u64, SegmentKind, u64, u64),
-                         owner: u64,
-                         rec: &TaskRecord,
-                         s: u64,
-                         e: u64| {
-        let m = module_intervals
-            .get(rec.track)
-            .map_or(0, |iv| overlap_ns(iv, s, e))
-            .min(e.saturating_sub(s));
-        push(cp, owner, SegmentKind::Compute, s, e.saturating_sub(m));
-        push(cp, owner, SegmentKind::Module, e.saturating_sub(m), e);
-    };
-
+    let mut segs = Segments::new(module_intervals, false);
     let mut mark = start;
     for win in chain.windows(2) {
         let (parent_id, child_id) = (win[0], win[1]);
-        let parent = &tasks[&parent_id];
         let child = &tasks[&child_id];
         let spawn = child.spawn_ts.clamp(mark, u64::MAX);
         let begin = child.begin_ts.clamp(spawn, u64::MAX);
-        compute_slice(&mut cp, &mut push, parent_id, parent, mark, spawn);
-        let wait_kind = match child.acquired {
-            Acquisition::Pop | Acquisition::Unknown => SegmentKind::PopWait,
-            Acquisition::Steal(_) | Acquisition::Injector => SegmentKind::StealWait,
-        };
-        push(&mut cp, child_id, wait_kind, spawn, begin);
+        segs.slice(parent_id, Some(&tasks[&parent_id]), None, mark, spawn);
+        segs.push(child_id, child.acquired.wait_kind(), None, spawn, begin);
         mark = begin;
     }
     let end = leaf.end_ts.clamp(mark, u64::MAX);
-    compute_slice(&mut cp, &mut push, chain[chain.len() - 1], leaf, mark, end);
-    Some(cp)
+    segs.slice(chain[chain.len() - 1], Some(leaf), None, mark, end);
+    let total_ns = leaf.end_ts.saturating_sub(start);
+    Some(CriticalPath::tally(chain, total_ns, segs.finish()))
+}
+
+/// A critical path's segments under construction.
+struct Segments<'a> {
+    module_intervals: &'a [Vec<(u64, u64)>],
+    /// The walk runs from the path's end to its start.
+    backward: bool,
+    list: Vec<Segment>,
+}
+
+impl<'a> Segments<'a> {
+    fn new(module_intervals: &'a [Vec<(u64, u64)>], backward: bool) -> Segments<'a> {
+        Segments {
+            module_intervals,
+            backward,
+            list: Vec::new(),
+        }
+    }
+
+    /// Appends `[s, e)` unless it is empty.
+    fn push(&mut self, task: u64, kind: SegmentKind, rank: Option<usize>, s: u64, e: u64) {
+        if e > s {
+            self.list.push(Segment {
+                task,
+                kind,
+                start_ns: s,
+                dur_ns: e - s,
+                rank,
+            });
+        }
+    }
+
+    /// Appends one execution slice `[s, e)` of `owner`, split into compute
+    /// and module time by the module intervals of the track `rec` ran on.
+    /// The module total within the slice is one segment, after the compute
+    /// one (attribution, not layout).
+    fn slice(&mut self, owner: u64, rec: Option<&TaskRecord>, rank: Option<usize>, s: u64, e: u64) {
+        let m = rec
+            .and_then(|r| self.module_intervals.get(r.track))
+            .map_or(0, |iv| overlap_ns(iv, s, e))
+            .min(e.saturating_sub(s));
+        let split = e.saturating_sub(m);
+        let mut parts = [
+            (SegmentKind::Compute, s, split),
+            (SegmentKind::Module, split, e),
+        ];
+        if self.backward {
+            parts.reverse();
+        }
+        for (kind, s, e) in parts {
+            self.push(owner, kind, rank, s, e);
+        }
+    }
+
+    /// The segments, oldest first.
+    fn finish(mut self) -> Vec<Segment> {
+        if self.backward {
+            self.list.reverse();
+        }
+        self.list
+    }
+}
+
+impl Acquisition {
+    /// How the wait before a task acquired this way is classified.
+    fn wait_kind(self) -> SegmentKind {
+        match self {
+            Acquisition::Pop | Acquisition::Unknown => SegmentKind::PopWait,
+            Acquisition::Steal(_) | Acquisition::Injector => SegmentKind::StealWait,
+        }
+    }
+}
+
+impl CriticalPath {
+    /// Totals `segments` (oldest first) by kind and by rank.
+    fn tally(chain: Vec<u64>, total_ns: u64, segments: Vec<Segment>) -> CriticalPath {
+        let mut cp = CriticalPath {
+            chain,
+            total_ns,
+            ..CriticalPath::default()
+        };
+        let mut per_rank: BTreeMap<usize, u64> = BTreeMap::new();
+        for s in &segments {
+            match s.kind {
+                SegmentKind::Compute => cp.compute_ns += s.dur_ns,
+                SegmentKind::Module => cp.module_ns += s.dur_ns,
+                SegmentKind::PopWait => cp.pop_wait_ns += s.dur_ns,
+                SegmentKind::StealWait => cp.steal_wait_ns += s.dur_ns,
+                SegmentKind::Wire => cp.wire_ns += s.dur_ns,
+                SegmentKind::BlockedOnRemote => cp.blocked_remote_ns += s.dur_ns,
+            }
+            if matches!(s.kind, SegmentKind::Compute | SegmentKind::Module) {
+                if let Some(rk) = s.rank {
+                    *per_rank.entry(rk).or_default() += s.dur_ns;
+                }
+            }
+        }
+        cp.straggler_rank = per_rank.iter().max_by_key(|&(_, ns)| *ns).map(|(&r, _)| r);
+        cp.per_rank_ns = per_rank.into_iter().collect();
+        cp.segments = segments;
+        cp
+    }
 }
 
 /// Stitches per-rank task DAGs into one distributed critical path by
@@ -587,53 +711,8 @@ fn distributed_critical_path(
         .max_by_key(|(_, r)| r.end_ts)?;
     let rank_of = |rec: &TaskRecord| track_ranks.get(rec.track).copied().flatten();
 
-    // Built newest-first, reversed at the end.
-    let mut segs: Vec<Segment> = Vec::new();
+    let mut segs = Segments::new(module_intervals, true);
     let mut chain_rev: Vec<u64> = vec![leaf_id];
-    let push = |segs: &mut Vec<Segment>,
-                task: u64,
-                kind: SegmentKind,
-                rank: Option<usize>,
-                s: u64,
-                e: u64| {
-        if e > s {
-            segs.push(Segment {
-                task,
-                kind,
-                start_ns: s,
-                dur_ns: e - s,
-                rank,
-            });
-        }
-    };
-    // Module-split slice, emitted newest-first (module tail, then compute).
-    let compute_slice = |segs: &mut Vec<Segment>,
-                         owner: u64,
-                         rec: Option<&TaskRecord>,
-                         rank: Option<usize>,
-                         s: u64,
-                         e: u64| {
-        let m = rec
-            .and_then(|r| module_intervals.get(r.track))
-            .map_or(0, |iv| overlap_ns(iv, s, e))
-            .min(e.saturating_sub(s));
-        push(
-            segs,
-            owner,
-            SegmentKind::Module,
-            rank,
-            e.saturating_sub(m),
-            e,
-        );
-        push(
-            segs,
-            owner,
-            SegmentKind::Compute,
-            rank,
-            s,
-            e.saturating_sub(m),
-        );
-    };
 
     let mut cursors: BTreeMap<usize, usize> = delivers_by_rank
         .iter()
@@ -677,15 +756,8 @@ fn distributed_critical_path(
         if let Some(d) = resumed {
             if let Some(s) = sends.get(&d.id) {
                 let d_ts = d.ts.min(cut).max(s.ts.min(cut));
-                compute_slice(&mut segs, owner, rec, cur_rank, d_ts, cut);
-                push(
-                    &mut segs,
-                    s.span,
-                    SegmentKind::Wire,
-                    None,
-                    s.ts.min(cut),
-                    d_ts,
-                );
+                segs.slice(owner, rec, cur_rank, d_ts, cut);
+                segs.push(s.span, SegmentKind::Wire, None, s.ts.min(cut), d_ts);
                 cut = s.ts.min(cut);
                 cur_rank = Some(s.src);
                 cur_task = match tasks.get(&s.span) {
@@ -699,32 +771,22 @@ fn distributed_critical_path(
             }
             // Orphan delivery: remote-bound back to the task's begin.
             let d_ts = d.ts.min(cut);
-            compute_slice(&mut segs, owner, rec, cur_rank, d_ts, cut);
-            push(
-                &mut segs,
-                owner,
-                SegmentKind::BlockedOnRemote,
-                cur_rank,
-                lo,
-                d_ts,
-            );
+            segs.slice(owner, rec, cur_rank, d_ts, cut);
+            segs.push(owner, SegmentKind::BlockedOnRemote, cur_rank, lo, d_ts);
             cut = lo;
         } else {
-            compute_slice(&mut segs, owner, rec, cur_rank, lo, cut);
+            segs.slice(owner, rec, cur_rank, lo, cut);
             cut = lo;
         }
 
         // 2. Spawn edge: cross to the parent task like the local walk.
         let Some(r) = rec else { break };
         let parent = r.parent;
-        let wait_kind = match r.acquired {
-            Acquisition::Pop | Acquisition::Unknown => SegmentKind::PopWait,
-            Acquisition::Steal(_) | Acquisition::Injector => SegmentKind::StealWait,
-        };
+        let wait_kind = r.acquired.wait_kind();
         match tasks.get(&parent) {
             Some(p) if parent != 0 && p.begin_ts != 0 => {
                 let spawn = r.spawn_ts.min(cut);
-                push(&mut segs, owner, wait_kind, cur_rank, spawn, cut);
+                segs.push(owner, wait_kind, cur_rank, spawn, cut);
                 cut = spawn;
                 cur_rank = rank_of(p);
                 cur_task = Some(parent);
@@ -737,7 +799,7 @@ fn distributed_critical_path(
                 // the injector wait between cluster submit and pickup.
                 if r.spawn_ts != 0 {
                     let spawn = r.spawn_ts.min(cut);
-                    push(&mut segs, owner, wait_kind, cur_rank, spawn, cut);
+                    segs.push(owner, wait_kind, cur_rank, spawn, cut);
                     cut = spawn;
                 }
                 break;
@@ -745,33 +807,9 @@ fn distributed_critical_path(
         }
     }
 
-    segs.reverse();
     chain_rev.reverse();
-    let mut cp = CriticalPath {
-        chain: chain_rev,
-        total_ns: leaf.end_ts.saturating_sub(cut),
-        ..CriticalPath::default()
-    };
-    let mut per_rank: BTreeMap<usize, u64> = BTreeMap::new();
-    for s in &segs {
-        match s.kind {
-            SegmentKind::Compute => cp.compute_ns += s.dur_ns,
-            SegmentKind::Module => cp.module_ns += s.dur_ns,
-            SegmentKind::PopWait => cp.pop_wait_ns += s.dur_ns,
-            SegmentKind::StealWait => cp.steal_wait_ns += s.dur_ns,
-            SegmentKind::Wire => cp.wire_ns += s.dur_ns,
-            SegmentKind::BlockedOnRemote => cp.blocked_remote_ns += s.dur_ns,
-        }
-        if matches!(s.kind, SegmentKind::Compute | SegmentKind::Module) {
-            if let Some(rk) = s.rank {
-                *per_rank.entry(rk).or_default() += s.dur_ns;
-            }
-        }
-    }
-    cp.straggler_rank = per_rank.iter().max_by_key(|&(_, ns)| *ns).map(|(&r, _)| r);
-    cp.per_rank_ns = per_rank.into_iter().collect();
-    cp.segments = segs;
-    Some(cp)
+    let total_ns = leaf.end_ts.saturating_sub(cut);
+    Some(CriticalPath::tally(chain_rev, total_ns, segs.finish()))
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -948,6 +986,45 @@ impl fmt::Display for ProfileAnalysis {
                 l.mean_probe_depth
             )?;
         }
+        let module_ns: u64 = self.modules.values().map(|m| m.total_ns).sum();
+        if !self.modules.is_empty() {
+            writeln!(f, "  per-module time:")?;
+        }
+        for (name, m) in &self.modules {
+            writeln!(
+                f,
+                "    {:<24} calls {:>7}  total {:>10} ({:5.1}% of module time)",
+                name,
+                m.calls,
+                fmt_ns(m.total_ns),
+                100.0 * m.total_ns as f64 / module_ns.max(1) as f64
+            )?;
+        }
+        let q = &self.queue_latency;
+        if q.n > 0 {
+            writeln!(
+                f,
+                "  task queue latency (spawn->begin): n={} mean {} p50 {} p99 {}",
+                q.n,
+                fmt_ns(q.mean_ns),
+                fmt_ns(q.p50_ns),
+                fmt_ns(q.p99_ns)
+            )?;
+        }
+        let p = &self.park_latency;
+        if p.n > 0 {
+            writeln!(
+                f,
+                "  park spans: n={} mean {} p50 {}",
+                p.n,
+                fmt_ns(p.mean_ns),
+                fmt_ns(p.p50_ns)
+            )?;
+        }
+        writeln!(f, "  events by kind:")?;
+        for (kind, n) in &self.counts {
+            writeln!(f, "    {:<16} {:>10}", kind, n)?;
+        }
         Ok(())
     }
 }
@@ -955,18 +1032,8 @@ impl fmt::Display for ProfileAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::TraceEvent;
+    use crate::ring::ev;
     use crate::TrackData;
-
-    fn e(ts: u64, kind: EventKind, a: u64, b: u64, c: u64) -> TraceEvent {
-        TraceEvent {
-            ts_ns: ts,
-            kind,
-            a,
-            b,
-            c,
-        }
-    }
 
     /// root(1) runs on worker-0, spawns child(2) at t=200 which is stolen
     /// by worker-1, begins at t=500, ends at t=900.
@@ -976,9 +1043,9 @@ mod tests {
                 TrackData {
                     label: "hiper-worker-0".into(),
                     events: vec![
-                        e(100, EventKind::TaskBegin, 1, 0, 0),
-                        e(200, EventKind::TaskSpawn, 2, 1, 0),
-                        e(400, EventKind::TaskEnd, 1, 0, 0),
+                        ev(100, EventKind::TaskBegin, 1, 0, 0),
+                        ev(200, EventKind::TaskSpawn, 2, 1, 0),
+                        ev(400, EventKind::TaskEnd, 1, 0, 0),
                     ],
                     dropped: 0,
                     rank: None,
@@ -986,9 +1053,9 @@ mod tests {
                 TrackData {
                     label: "hiper-worker-1".into(),
                     events: vec![
-                        e(480, EventKind::Steal, 2, 0, 0),
-                        e(500, EventKind::TaskBegin, 2, 0, 0),
-                        e(900, EventKind::TaskEnd, 2, 0, 0),
+                        ev(480, EventKind::Steal, 2, 0, 0),
+                        ev(500, EventKind::TaskBegin, 2, 0, 0),
+                        ev(900, EventKind::TaskEnd, 2, 0, 0),
                     ],
                     dropped: 0,
                     rank: None,
@@ -1015,11 +1082,11 @@ mod tests {
         let mut data = two_task_chain();
         // Leaf spends 300..? no — worker-1 runs a module span inside task 2.
         data.tracks[1].events = vec![
-            e(480, EventKind::Steal, 2, 0, 0),
-            e(500, EventKind::TaskBegin, 2, 0, 0),
-            e(600, EventKind::ModuleEnter, 1, 0, 0),
-            e(850, EventKind::ModuleExit, 1, 0, 0),
-            e(900, EventKind::TaskEnd, 2, 0, 0),
+            ev(480, EventKind::Steal, 2, 0, 0),
+            ev(500, EventKind::TaskBegin, 2, 0, 0),
+            ev(600, EventKind::ModuleEnter, 1, 0, 0),
+            ev(850, EventKind::ModuleExit, 1, 0, 0),
+            ev(900, EventKind::TaskEnd, 2, 0, 0),
         ];
         let cp = ProfileAnalysis::build(&data)
             .critical_path
@@ -1066,8 +1133,8 @@ mod tests {
                 TrackData {
                     label: "hiper-worker-0".into(),
                     events: vec![
-                        e(100, EventKind::TaskBegin, 1, 0, 0),
-                        e(1000, EventKind::TaskEnd, 1, 0, 0),
+                        ev(100, EventKind::TaskBegin, 1, 0, 0),
+                        ev(1000, EventKind::TaskEnd, 1, 0, 0),
                     ],
                     dropped: 0,
                     rank: Some(0),
@@ -1075,8 +1142,8 @@ mod tests {
                 TrackData {
                     label: "hiper-worker-0".into(),
                     events: vec![
-                        e(150, EventKind::TaskBegin, 2, 0, 0),
-                        e(820, EventKind::TaskEnd, 2, 0, 0),
+                        ev(150, EventKind::TaskBegin, 2, 0, 0),
+                        ev(820, EventKind::TaskEnd, 2, 0, 0),
                     ],
                     dropped: 0,
                     rank: Some(1),
@@ -1084,10 +1151,10 @@ mod tests {
                 TrackData {
                     label: "netsim-engine".into(),
                     events: vec![
-                        e(300, EventKind::MsgSend, 1, 1, 10),
-                        e(400, EventKind::MsgDeliver, 1, 1, 10),
-                        e(600, EventKind::MsgSend, 2, 1 << 32, 11),
-                        e(700, EventKind::MsgDeliver, 2, 1 << 32, 11),
+                        ev(300, EventKind::MsgSend, 1, 1, 10),
+                        ev(400, EventKind::MsgDeliver, 1, 1, 10),
+                        ev(600, EventKind::MsgSend, 2, 1 << 32, 11),
+                        ev(700, EventKind::MsgDeliver, 2, 1 << 32, 11),
                     ],
                     dropped: 0,
                     rank: None,
@@ -1144,9 +1211,9 @@ mod tests {
             tracks: vec![TrackData {
                 label: "hiper-worker-0".into(),
                 events: vec![
-                    e(100, EventKind::TaskBegin, 3, 0, 0),
-                    e(200, EventKind::TaskBegin, 4, 0, 0),
-                    e(300, EventKind::TaskEnd, 4, 0, 0),
+                    ev(100, EventKind::TaskBegin, 3, 0, 0),
+                    ev(200, EventKind::TaskBegin, 4, 0, 0),
+                    ev(300, EventKind::TaskEnd, 4, 0, 0),
                 ],
                 dropped: 57,
                 rank: None,

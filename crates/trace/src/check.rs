@@ -413,19 +413,9 @@ impl fmt::Display for CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::TraceEvent;
+    use crate::ring::{ev, TraceEvent};
     use crate::TrackData;
     use EventKind::*;
-
-    fn ev(ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64) -> TraceEvent {
-        TraceEvent {
-            ts_ns,
-            kind,
-            a,
-            b,
-            c,
-        }
-    }
 
     fn track(label: &str, events: Vec<TraceEvent>) -> TrackData {
         TrackData {

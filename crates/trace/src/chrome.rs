@@ -125,7 +125,8 @@ fn meta(out: &mut String, name: &str, pid: u64, tid: Option<u64>, value: &str) {
     out.push_str("\"}},\n");
 }
 
-fn module_span_name(e: &TraceEvent) -> String {
+/// `module` or `module:op`: the name of a module span.
+pub(crate) fn module_span_name(e: &TraceEvent) -> String {
     let module = resolve(e.a);
     let op = resolve(e.b);
     if op.is_empty() {
@@ -583,13 +584,13 @@ impl Reader {
 
     /// Interns a module span name (`module` or `module:op`) back into the
     /// trace string table as `(module_id, op_id)`. Ids must resolve for
-    /// the program's lifetime, like live ones, so each distinct name is
-    /// leaked once.
+    /// the program's lifetime, like live ones, so a name the table does not
+    /// hold yet is leaked once.
     fn span_ids(&mut self, name: &str) -> (u64, u64) {
         if let Some(&ids) = self.spans.get(name) {
             return ids;
         }
-        let intern = |s: &str| crate::intern(Box::leak(s.to_string().into_boxed_str()));
+        let intern = crate::intern_borrowed;
         let ids = match name.split_once(':') {
             Some((module, op)) => (intern(module), intern(op)),
             None => (intern(name), 0),
@@ -722,6 +723,7 @@ impl Reader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::ev;
 
     fn data(events: Vec<TraceEvent>) -> TraceData {
         TraceData {
@@ -791,16 +793,6 @@ mod tests {
         };
         let json = chrome_trace_json(&d);
         assert!(json.contains("we\\\"ird\\\\name"));
-    }
-
-    fn ev(ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64) -> TraceEvent {
-        TraceEvent {
-            ts_ns,
-            kind,
-            a,
-            b,
-            c,
-        }
     }
 
     #[test]

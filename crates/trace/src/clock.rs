@@ -12,7 +12,7 @@
 //! land at exactly `NetSend + modeled delay` on the exported timeline.
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -25,13 +25,6 @@ pub fn epoch() -> Instant {
 #[inline]
 pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
-}
-
-/// Converts a trace timestamp back to an [`Instant`] (for condvar deadlines
-/// in components that schedule against the trace clock, e.g. the netsim
-/// delivery engine).
-pub fn instant_at(ts_ns: u64) -> Instant {
-    epoch() + Duration::from_nanos(ts_ns)
 }
 
 #[cfg(target_os = "linux")]
@@ -94,15 +87,5 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn instant_roundtrip() {
-        let t = now_ns();
-        let back = instant_at(t);
-        // `back` is in the past (or now); converting forward again must not
-        // move it before `t`.
-        assert!(back <= Instant::now());
-        assert!(instant_at(t + 1_000_000) > back);
     }
 }

@@ -5,9 +5,11 @@
 //! timestamped structured events — task lifecycle, scheduler transitions,
 //! module entry/exit, simulated-network sends and deliveries — recorded
 //! into per-thread lock-free ring buffers and exported as Chrome
-//! trace-event JSON (loadable in Perfetto / `chrome://tracing`) plus a
-//! compact aggregated report. The same crate reads those files back
-//! ([`chrome::load_chrome_trace`]) and validates them ([`check`]).
+//! trace-event JSON (loadable in Perfetto / `chrome://tracing`). At finish
+//! a session prints the [`analysis::ProfileAnalysis`] summary of the run,
+//! the same one `profile` prints from the file. The same crate reads those
+//! files back ([`chrome::load_chrome_trace`]) and validates them
+//! ([`check`]).
 //!
 //! # Cost model
 //!
@@ -26,7 +28,7 @@
 //! // In a binary: honor --trace <out.json> / HIPER_TRACE=out.json.
 //! let session = hiper_trace::session_from_env_args();
 //! // ... run traced work ...
-//! drop(session); // drains all rings, writes the JSON, prints the report path
+//! drop(session); // drains all rings, writes the JSON, prints the profile summary
 //! ```
 //!
 //! Rings are *drop-oldest*: a thread that outruns its ring overwrites its
@@ -37,7 +39,6 @@ pub mod analysis;
 mod check;
 pub mod chrome;
 pub mod clock;
-pub mod report;
 mod ring;
 
 pub use check::{check, CheckReport, TrackSummary};
@@ -161,6 +162,16 @@ pub fn ambient_rank() -> Option<usize> {
 /// Interns a static string (module or op name), returning a stable nonzero
 /// id events can carry. Idempotent; cheap read-mostly lookup.
 pub fn intern(s: &'static str) -> u64 {
+    intern_with(s, || s)
+}
+
+/// [`intern`] for a borrowed string: the string is leaked only when the
+/// table does not hold it yet, so ids resolve for the program's lifetime.
+pub(crate) fn intern_borrowed(s: &str) -> u64 {
+    intern_with(s, || Box::leak(s.into()))
+}
+
+fn intern_with(s: &str, keep: impl FnOnce() -> &'static str) -> u64 {
     let reg = registry();
     {
         let strings = reg.strings.read();
@@ -172,7 +183,7 @@ pub fn intern(s: &'static str) -> u64 {
     if let Some(i) = strings.iter().position(|&x| x == s) {
         return (i + 1) as u64;
     }
-    strings.push(s);
+    strings.push(keep());
     strings.len() as u64
 }
 
@@ -316,20 +327,7 @@ pub fn rings_dropped() -> u64 {
 /// quiesced — at shutdown or between phases — so writers aren't racing the
 /// collector.
 pub fn drain() -> TraceData {
-    let reg = registry();
-    let mut rings = reg.rings.lock();
-    let mut tracks = Vec::with_capacity(rings.len());
-    for entry in rings.iter_mut() {
-        let (events, pos, dropped) = entry.ring.drain_from(entry.read_pos);
-        entry.read_pos = pos;
-        tracks.push(TrackData {
-            label: entry.ring.label().to_string(),
-            events,
-            dropped,
-            rank: entry.rank,
-        });
-    }
-    TraceData { tracks }
+    collect(true)
 }
 
 /// Copies every registered ring's reachable events *without* advancing the
@@ -339,18 +337,26 @@ pub fn drain() -> TraceData {
 /// be appending concurrently; the snapshot is a best-effort view, exactly
 /// like any drain taken before quiescence.
 pub fn snapshot() -> TraceData {
-    let reg = registry();
-    let rings = reg.rings.lock();
-    let mut tracks = Vec::with_capacity(rings.len());
-    for entry in rings.iter() {
-        let (events, _pos, dropped) = entry.ring.drain_from(entry.read_pos);
-        tracks.push(TrackData {
-            label: entry.ring.label().to_string(),
-            events,
-            dropped,
-            rank: entry.rank,
-        });
-    }
+    collect(false)
+}
+
+fn collect(advance: bool) -> TraceData {
+    let mut rings = registry().rings.lock();
+    let tracks = rings
+        .iter_mut()
+        .map(|entry| {
+            let (events, pos, dropped) = entry.ring.drain_from(entry.read_pos);
+            if advance {
+                entry.read_pos = pos;
+            }
+            TrackData {
+                label: entry.ring.label().to_string(),
+                events,
+                dropped,
+                rank: entry.rank,
+            }
+        })
+        .collect();
     TraceData { tracks }
 }
 
@@ -359,7 +365,8 @@ pub fn snapshot() -> TraceData {
 /// to its output path.
 pub struct TraceSession {
     path: std::path::PathBuf,
-    /// Also print the aggregated report to stderr at finish.
+    /// Also print the [`analysis::ProfileAnalysis`] summary to stderr at
+    /// finish.
     pub report: bool,
     finished: bool,
 }
@@ -406,14 +413,13 @@ impl TraceSession {
             );
         }
         if self.report {
-            let rpt = report::TraceReport::build(&data);
             eprintln!(
                 "[hiper-trace] wrote {} ({} events, {} dropped)",
                 self.path.display(),
                 data.len(),
                 data.dropped()
             );
-            eprintln!("{}", rpt);
+            eprint!("{}", analysis::ProfileAnalysis::build(&data));
         }
         Ok(data)
     }

@@ -265,6 +265,18 @@ impl std::fmt::Debug for EventRing {
     }
 }
 
+/// Builds an event in unit tests.
+#[cfg(test)]
+pub(crate) fn ev(ts_ns: u64, kind: EventKind, a: u64, b: u64, c: u64) -> TraceEvent {
+    TraceEvent {
+        ts_ns,
+        kind,
+        a,
+        b,
+        c,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -311,11 +311,6 @@ impl UpcxxModule {
         })
     }
 
-    /// Typed `rput` of f64 values.
-    pub fn rput_f64(&self, data: &[f64], dst: GlobalPtr) -> Future<()> {
-        self.rput(&hiper_netsim::pod::to_bytes(data), dst)
-    }
-
     /// `upcxx::rget`: fetches `src.len` bytes; future carries the data.
     pub fn rget(&self, src: GlobalPtr) -> Future<Bytes> {
         self.ctx.time_op("rget", src.len as u64, |_| {

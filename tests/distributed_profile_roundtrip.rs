@@ -90,6 +90,13 @@ fn two_rank_trace_profiles_identically_after_the_chrome_roundtrip() {
     let a = ProfileAnalysis::build(&live);
     let b = ProfileAnalysis::build(&reloaded);
     assert_eq!(a.wall_ns, b.wall_ns, "wall clock drifted");
+    // The totals a `TraceSession` prints at finish.
+    assert_eq!(a.counts, b.counts, "event counts differ");
+    assert_eq!(a.modules, b.modules, "per-module time differs");
+    assert!(a.modules.contains_key("mpi:send"), "no mpi:send spans");
+    assert_eq!(a.queue_latency, b.queue_latency, "queue latency differs");
+    assert!(a.queue_latency.n > 0, "no task has both spawn and begin");
+    assert_eq!(a.park_latency, b.park_latency, "park spans differ");
     let pa = a.critical_path.as_ref().expect("live trace has a path");
     let pb = b.critical_path.as_ref().expect("reloaded trace has a path");
     // Chain, segment list, per-kind totals and per-rank path time.

@@ -7,6 +7,10 @@
 //! longest chain's compute time, and its segments must sum to the path
 //! total within 5% (they tile the interval, so they in fact sum exactly —
 //! the 5% bound is the contract).
+//!
+//! A hand-built trace pins the totals every `TraceSession` prints at
+//! finish: busy time, per-module calls and time, queue-latency quantiles,
+//! park spans and event counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,7 +18,8 @@ use std::time::{Duration, Instant};
 
 use hiper_platform::autogen;
 use hiper_runtime::{api, Runtime};
-use hiper_trace::analysis::ProfileAnalysis;
+use hiper_trace::analysis::{Latency, ProfileAnalysis};
+use hiper_trace::{EventKind, TraceData, TraceEvent, TrackData};
 
 const DEPTH: usize = 16;
 const SPIN: Duration = Duration::from_micros(300);
@@ -142,4 +147,82 @@ fn traced_chain_yields_consistent_critical_path_live_and_reloaded() {
         a.total_ns,
         b.total_ns
     );
+}
+
+fn track(label: &str, events: &[(u64, EventKind, u64, u64)]) -> TrackData {
+    let event = |&(ts_ns, kind, a, b): &_| TraceEvent {
+        ts_ns,
+        kind,
+        a,
+        b,
+        c: 0,
+    };
+    TrackData {
+        label: label.into(),
+        events: events.iter().map(event).collect(),
+        dropped: 0,
+        rank: None,
+    }
+}
+
+#[test]
+fn hand_built_trace_yields_exact_session_totals() {
+    use EventKind::*;
+    let (mpi, send) = (hiper_trace::intern("mpi"), hiper_trace::intern("send"));
+    // Worker 0 runs task 1, which spawns tasks 2 and 3 and runs task 2
+    // nested inside itself (help-first); worker 1 steals task 3.
+    #[rustfmt::skip]
+    let data = TraceData {
+        tracks: vec![
+            track("hiper-worker-0", &[
+                (100, TaskSpawn, 1, 0), (150, TaskBegin, 1, 0),
+                (200, TaskSpawn, 2, 1), (250, TaskSpawn, 3, 1),
+                (300, TaskBegin, 2, 0), (500, TaskEnd, 2, 0),
+                (600, ModuleEnter, mpi, send), (800, ModuleExit, mpi, send),
+                (1_000, TaskEnd, 1, 0), (1_000, Park, 0, 0), (1_400, Unpark, 1, 0),
+            ]),
+            track("hiper-worker-1", &[
+                (450, TaskBegin, 3, 0),
+                (500, ModuleEnter, mpi, send), (600, ModuleExit, mpi, send),
+                (700, ModuleEnter, mpi, 0), (750, ModuleExit, mpi, 0),
+                (900, TaskEnd, 3, 0),
+            ]),
+        ],
+    };
+    let a = ProfileAnalysis::build(&data);
+
+    let w0 = &a.workers[0];
+    assert_eq!(
+        (w0.tasks, w0.busy_ns, w0.parked_ns),
+        (2, 850, 400),
+        "nested task 2 counts once"
+    );
+    assert_eq!(a.workers[1].busy_ns, 450);
+    let modules: Vec<_> = a
+        .modules
+        .iter()
+        .map(|(k, m)| (k.as_str(), m.calls, m.total_ns))
+        .collect();
+    assert_eq!(modules, [("mpi", 1, 50), ("mpi:send", 2, 300)]);
+    // Waits 50, 100 and 200 ns: nearest-rank p50 is the second, p99 the third.
+    let latency = |l: Latency| (l.n, l.mean_ns, l.p50_ns, l.p99_ns);
+    assert_eq!(latency(a.queue_latency), (3, 116, 100, 200));
+    assert_eq!(latency(a.park_latency), (1, 400, 400, 400));
+    let count = |k: EventKind| a.counts.get(k.name()).copied();
+    assert_eq!(
+        [count(TaskSpawn), count(TaskBegin), count(ModuleExit)],
+        [Some(3); 3]
+    );
+    assert_eq!((count(Park), count(Steal)), (Some(1), None));
+    assert_eq!((a.counts.values().sum::<u64>(), a.events), (17, 17));
+
+    let shown = a.to_string();
+    for line in [
+        "per-module time",
+        "mpi:send",
+        "spawn->begin): n=3",
+        "park spans: n=1",
+    ] {
+        assert!(shown.contains(line), "summary lacks {line:?}:\n{shown}");
+    }
 }
